@@ -79,15 +79,41 @@ def certificate_to_dict(verdict: str, interior=None, heights=None) -> dict:
     return out
 
 
+class InvalidInput(ValueError):
+    """The input JSON has neither the shape of a fan nor of a labeled matrix."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(v, length=None) -> bool:
+    return (isinstance(v, list) and all(_is_int(x) for x in v)
+            and (length is None or len(v) == length))
+
+
 def load_input(path: str):
     """A fan {"rays": ...} or a labeled matrix {"n": ..., "cols": ...}."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidInput("input must be a JSON object with 'rays' or 'cols'")
     if "rays" in data:
+        rays = data["rays"]
+        if not (isinstance(rays, list) and all(_is_int_list(v, 2) for v in rays)):
+            raise InvalidInput("'rays' must be a list of integer pairs")
         return fan_from_dict(data)
     if "cols" in data:
+        cols = data["cols"]
+        if not (isinstance(cols, list) and cols and all(
+                isinstance(c, dict) and isinstance(c.get("label"), str)
+                and _is_int_list(c.get("v")) for c in cols)):
+            raise InvalidInput(
+                "'cols' must be a non-empty list of {\"label\": \"i_k\", \"v\": [integers]}")
+        if not _is_int(data.get("n")):
+            raise InvalidInput("'n' must be an integer")
         return matrix_from_dict(data)
-    raise ValueError("input must contain 'rays' or 'cols'")
+    raise InvalidInput("input must contain 'rays' or 'cols'")
 
 
 def _write(data: dict, path) -> None:

@@ -5,6 +5,12 @@ with witnesses that re-substitute exactly.  The feasibility engine is a
 two-phase simplex with Bland's anti-cycling rule, maximizing an auxiliary
 slack variable t (capped at 1); a system with strict inequalities is
 feasible iff the optimal t is positive.
+
+Facet and coface matrices are inverted one way only: integer_adjugate, a
+fraction-free Gauss-Jordan elimination that returns the integer adjugate and
+the determinant together.  relint_intersection has two encodings: integer
+barycentric functionals from that adjugate when every family is a
+nonsingular full simplex, and explicit barycentric variables otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ class EmptyFamily(ValueError):
 
 class OnesNotInKernel(ValueError):
     """Raised when kernel_with_ones is given a matrix with nonzero row sums."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a program bug, never a bad input."""
 
 
 def _q(x) -> Fraction:
@@ -86,12 +96,6 @@ class QMatrix:
                  for j in range(other.cols)]
             )
         return QMatrix.from_rows(out, cols=other.cols)
-
-    def mul_vector(self, v: Sequence) -> tuple[Fraction, ...]:
-        v = _qvec(v)
-        if self.cols != len(v):
-            raise DimensionMismatch("matrix-vector size mismatch")
-        return tuple(sum((r[k] * v[k] for k in range(self.cols)), Q(0)) for r in self.entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
@@ -203,6 +207,53 @@ def integer_det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def integer_adjugate(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """(adj(m), det(m)) of a nonsingular integer matrix, or None if singular.
+
+    One fraction-free Gauss-Jordan elimination of [m | I]: every entry stays
+    an integer minor, the left block ends as d*I and the right block as
+    d*m^-1 = +-adj(m), where d is the determinant of the row-swapped matrix.
+    """
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise NotSquare("matrix is not square")
+    a = [list(map(int, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return None
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pk = a[k]
+        pv = pk[k]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                f = ri[k]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(ri, pk)]
+        prev = pv
+    return [[sign * x for x in r[n:]] for r in a], sign * prev
+
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(ints, scale): the smallest positive scale making every value integral."""
+    scale = 1
+    for v in values:
+        scale = scale * v.denominator // _gcd(scale, v.denominator)
+    return [int(v * scale) for v in values], scale
+
+
+def make_primitive(ints: Sequence[int]) -> list[int]:
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = 0
+    for v in ints:
+        g = _gcd(g, v)
+    return [v // g for v in ints] if g > 1 else list(ints)
+
+
 @dataclass(frozen=True)
 class StrictLinearSystem:
     """Linear system a.x = b / a.x <= b / a.x < b over a common dimension."""
@@ -290,7 +341,8 @@ class _Simplex:
         prow = t[row]
         if prow[col] < 0:
             # only reachable when driving a zero-valued artificial out
-            assert prow[-1] == 0
+            if prow[-1] != 0:
+                raise InvariantViolation("negative pivot on a row with nonzero rhs")
             prow = [-x for x in prow]
             t[row] = prow
         pv = prow[col]
@@ -361,11 +413,9 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     si = 0
     ai = 0
     for idx, (coef, rhs, kind) in enumerate(raw):
-        scale = 1
-        for v in coef + [rhs]:
-            scale = scale * v.denominator // _gcd(scale, v.denominator)
-        line = [int(v * scale) for v in coef] + [0] * (nslack + nart)
-        rhs_i = int(rhs * scale)
+        line, scale = clear_denominators(coef + [rhs])
+        rhs_i = line.pop()
+        line += [0] * (nslack + nart)
         if kind == "le":
             line[nx + si] = scale
             slack_col = nx + si
@@ -416,54 +466,24 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     return FeasibilityResult(True, witness, slack)
 
 
-def _affine_hull_constraints(points: Sequence[tuple[Fraction, ...]]):
-    """Equalities n.x = b cutting out the affine hull of the given points."""
-    dim = len(points[0])
-    homog = QMatrix.from_rows([[*p, Q(-1)] for p in points], cols=dim + 1)
-    kern = kernel_basis(homog)
-    out = []
-    for j in range(kern.cols):
-        col = kern.column(j)
-        out.append((col[:dim], col[dim]))
-    return out
+def _simplex_functionals(fam):
+    """Integer barycentric functionals of a full simplex of rational points.
 
-
-def _barycentric_functionals(points: Sequence[tuple[Fraction, ...]]):
-    """For affinely independent points, the linear maps x -> barycentric coords.
-
-    Returns rows (coeffs, const) with lambda_j(x) = coeffs.x + const, or None
-    when the points are affinely dependent.
+    Returns (rows, factor) with lambda_j(x) = factor * (rows[j] . (x, 1)) and
+    factor > 0, or None when the points are affinely dependent.  rows[j] is
+    column j of the adjugate of the integer matrix whose rows are (k*p, k),
+    k clearing every denominator, sign-normalized by its determinant.
     """
-    dim = len(points[0])
-    k = len(points)
-    mat = QMatrix.from_rows([[*p, Q(1)] for p in points], cols=dim + 1)  # k x (dim+1)
-    if mat.rank() != k:
+    dim = len(fam[0])
+    ints, scale = clear_denominators([v for p in fam for v in p])
+    m = [ints[i * dim:(i + 1) * dim] + [scale] for i in range(len(fam))]
+    inv = integer_adjugate(m)
+    if inv is None:
         return None
-    mt = mat.transpose()
-    gram = mat.mul(mt)  # k x k, invertible
-    inv = _invert(gram)
-    lam = inv.mul(mat)  # k x (dim+1); lambda(x) = lam . (x, 1)
-    return [(lam.row(j)[:dim], lam.row(j)[dim]) for j in range(k)]
-
-
-def _invert(m: QMatrix) -> QMatrix:
-    n = m.rows
-    aug = [list(m.entries[i]) + [Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
-    red, pivots = _rref(aug)
-    if len(pivots) != n or pivots != list(range(n)):
-        raise ArithmeticError("matrix not invertible")
-    return QMatrix.from_rows([r[n:] for r in red], cols=n)
-
-
-def _cofactor_matrix(m: list[list[int]]) -> list[list[int]]:
-    n = len(m)
-    cof = [[0] * n for _ in range(n)]
-    for r in range(n):
-        rows = [row for i, row in enumerate(m) if i != r]
-        for c in range(n):
-            minor = [row[:c] + row[c + 1:] for row in rows]
-            cof[r][c] = (-1) ** (r + c) * integer_det(minor)
-    return cof
+    adj, det = inv
+    sgn = 1 if det > 0 else -1
+    rows = [[sgn * adj[c][j] for c in range(dim + 1)] for j in range(dim + 1)]
+    return rows, Q(scale, abs(det))
 
 
 def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optional[int] = None
@@ -471,10 +491,12 @@ def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optio
     """Decide whether the relative interiors of the convex hulls intersect.
 
     Uses x in relint conv(S) iff x is a strictly positive convex combination
-    of S.  When every family is affinely independent the barycentric weights
-    are linear in x and eliminated from the program; otherwise they stay as
-    explicit variables.  Returns the witness x and one barycentric tuple per
-    family, in input order.
+    of S.  Two encodings, chosen by the shape of the input: when every family
+    is a nonsingular full simplex (dim + 1 affinely independent points), its
+    barycentric weights are integer linear functionals of x, taken from one
+    adjugate, and the program has x alone as variables; otherwise the weights
+    stay as explicit variables next to x.  Returns the witness x and one
+    barycentric tuple per family, in input order.
     """
     fams = [tuple(_qvec(p) for p in fam) for fam in families]
     for fam in fams:
@@ -485,74 +507,27 @@ def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optio
         if any(len(p) != dim for p in fam):
             raise DimensionMismatch("families live in different ambient dimensions")
 
-    # full-simplex fast path: barycentric coords of x are cofactor functionals
-    # lambda_j(x) = scale*(cof[j] . (x,1)) / det, all integer data
     if all(len(fam) == dim + 1 for fam in fams):
-        cofdets = []
-        ok = True
-        for fam in fams:
-            scale = 1
-            for p in fam:
-                for v in p:
-                    scale = scale * v.denominator // _gcd(scale, v.denominator)
-            m = [[int(v * scale) for v in p] + [scale] for p in fam]
-            det = integer_det(m)
-            if det == 0:
-                ok = False
-                break
-            cofdets.append((_cofactor_matrix(m), det, scale))
-        if ok:
+        simplices = [_simplex_functionals(fam) for fam in fams]
+        if None not in simplices:
             strict = []
             seen = set()
-            for cof, det, _ in cofdets:
-                sgn = 1 if det > 0 else -1
-                for j in range(dim + 1):
-                    row = [-sgn * cof[j][c] for c in range(dim)]
-                    const = sgn * cof[j][dim]
-                    g = 0
-                    for v in row:
-                        g = _gcd(g, v)
-                    g = _gcd(g, const)
-                    if g > 1:
-                        row = [v // g for v in row]
-                        const //= g
-                    key = (tuple(row), const)
+            for rows, _ in simplices:
+                for row in rows:
+                    # lambda_j(x) > 0  <=>  -row[:dim] . x < row[dim]
+                    key = tuple(make_primitive([-v for v in row[:dim]] + [row[dim]]))
                     if key not in seen:
                         seen.add(key)
-                        strict.append((row, const))
+                        strict.append((key[:dim], key[dim]))
             res = strict_feasible(StrictLinearSystem.build(dim, (), (), strict))
             if not res.feasible:
                 return res
             x = res.witness
-            bary = []
-            for cof, det, scale in cofdets:
-                lams = []
-                for j in range(dim + 1):
-                    num = sum((cof[j][c] * x[c] for c in range(dim)), Q(0)) + cof[j][dim]
-                    lams.append(num * scale / det)
-                bary.append(tuple(lams))
-            return FeasibilityResult(True, x, res.slack, tuple(bary))
-
-    functionals = [_barycentric_functionals(fam) for fam in fams]
-    if all(f is not None for f in functionals):
-        equalities = []
-        strict = []
-        for fam, funcs in zip(fams, functionals):
-            if len(fam) < dim + 1:
-                equalities.extend(_affine_hull_constraints(fam))
-            for coeffs, const in funcs:
-                # lambda_j(x) > 0  <=>  -coeffs.x < const
-                strict.append((tuple(-c for c in coeffs), const))
-        res = strict_feasible(StrictLinearSystem.build(dim, equalities, (), strict))
-        if not res.feasible:
-            return res
-        x = res.witness
-        bary = tuple(
-            tuple(sum((c * xi for c, xi in zip(coeffs, x)), Q(0)) + const
-                  for coeffs, const in funcs)
-            for funcs in functionals
-        )
-        return FeasibilityResult(True, x, res.slack, bary)
+            bary = tuple(
+                tuple(factor * (sum((r[c] * x[c] for c in range(dim)), Q(0)) + r[dim])
+                      for r in rows)
+                for rows, factor in simplices)
+            return FeasibilityResult(True, x, res.slack, bary)
 
     # general encoding: variables (x, all lambda)
     sizes = [len(fam) for fam in fams]

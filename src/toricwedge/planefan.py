@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .exactmath import InvariantViolation
+
 Vec = "tuple[int, int]"
 
 
@@ -120,7 +122,8 @@ def rotation_numbers(fan: PlaneFan) -> tuple[int, ...]:
         x, y = rays[i]
         sx, sy = px + nx, py + ny
         a = sx // x if x != 0 else sy // y
-        assert a * x == sx and a * y == sy, "rotation identity failed on a valid fan"
+        if a * x != sx or a * y != sy:
+            raise InvariantViolation("rotation identity failed on a valid fan")
         out.append(a)
     return tuple(out)
 
@@ -158,7 +161,8 @@ def reduce_to_base(fan: PlaneFan) -> tuple[PlaneFan, list[int]]:
     trace = []
     while fan.m > 4:
         positions = blow_down_positions(fan)
-        assert positions, f"no blow-down position on a fan with {fan.m} rays"
+        if not positions:
+            raise InvariantViolation(f"no blow-down position on a fan with {fan.m} rays")
         trace.append(positions[0])
         fan = blow_down(fan, positions[0])
     return fan, trace

@@ -14,18 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Optional
 
 from .exactmath import (
+    InvariantViolation,
     QMatrix,
     StrictLinearSystem,
-    _barycentric_functionals,
-    _cofactor_matrix,
     _qvec,
-    integer_det,
+    _simplex_functionals,
+    clear_denominators,
+    integer_adjugate,
     kernel_basis,
     kernel_with_ones,
+    make_primitive,
     relint_intersection,
     strict_feasible,
 )
@@ -121,15 +122,8 @@ def _positive_relation(gens) -> tuple[int, ...]:
     res = strict_feasible(StrictLinearSystem.build(m, equalities, weak, ()))
     if not res.feasible:
         raise NotComplete("generators admit no positive zero-sum relation")
-    c = res.witness
-    lcm = 1
-    for x in c:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in c]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    ints, _ = clear_denominators(res.witness)
+    return tuple(make_primitive(ints))
 
 
 def shephard_diagram(obj, cx: Optional[WedgeComplex] = None,
@@ -149,17 +143,7 @@ def shephard_diagram(obj, cx: Optional[WedgeComplex] = None,
     b = kernel_with_ones(a)
     # rescale each coordinate axis to primitive integers; an admissible
     # change of kernel basis that keeps the ones column intact
-    cols = []
-    for j in range(b.cols - 1):
-        col = b.column(j)
-        scale = 1
-        for v in col:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        ints = [int(v * scale) for v in col]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        cols.append([v // g for v in ints] if g > 1 else ints)
+    cols = [make_primitive(clear_denominators(b.column(j))[0]) for j in range(b.cols - 1)]
     points = {lab: tuple(Q(col[i]) for col in cols) for i, lab in enumerate(labels)}
     return ShephardDiagram(labels, points, wmap, dict(gens), b.cols - 1)
 
@@ -236,24 +220,24 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
     strict = []
     seen = set()
     for fi in range(len(facets)):
-        u_cols = [gens[lab] for lab in facets[fi]]
-        u_det = None
+        inv = None
         for fj in range(fi + 1, len(facets)):
             if len(facet_sets[fi] & facet_sets[fj]) != n - 1:
                 continue
             # one strict bend condition per wall; the reverse direction is
             # the same inequality expressed through the other cone.  The
-            # facet matrix is unimodular, so Cramer gives integer weights.
+            # facet matrix U is unimodular, so the weights of u_r in its
+            # columns, det(U) * adj(U) . u_r, are integers (Cramer's rule).
             r_out = next(iter(facet_sets[fj] - facet_sets[fi]))
-            if u_det is None:
-                u_det = integer_det([[col[c] for col in u_cols] for c in range(n)])
+            if inv is None:
+                inv = integer_adjugate(
+                    [[gens[lab][c] for lab in facets[fi]] for c in range(n)])
+            adj, u_det = inv
             ur = gens[r_out]
             row = [0] * len(free)
             for k, lab in enumerate(facets[fi]):
                 if lab in pos:
-                    repl = [[(ur[c] if j == k else u_cols[j][c]) for j in range(n)]
-                            for c in range(n)]
-                    row[pos[lab]] += integer_det(repl) * u_det
+                    row[pos[lab]] += sum(a * x for a, x in zip(adj[k], ur)) * u_det
             if r_out in pos:
                 row[pos[r_out]] -= 1
             key = tuple(row)
@@ -274,36 +258,12 @@ def point_in_relint(point, family) -> bool:
     point = _qvec(point)
     fam = [_qvec(p) for p in family]
     dim = len(point)
-    if len(fam) == dim + 1:
-        scale = 1
-        for p in fam:
-            for v in p:
-                scale = scale * v.denominator // gcd(scale, v.denominator)
-        m = [[int(v * scale) for v in p] + [scale] for p in fam]
-        det = integer_det(m)
-        if det:
-            cof = _cofactor_matrix(m)
-            sgn = 1 if det > 0 else -1
-            for j in range(dim + 1):
-                val = sum((cof[j][c] * point[c] for c in range(dim)), Q(0)) + cof[j][dim]
-                if sgn * val <= 0:
-                    return False
-            return True
-    funcs = _barycentric_functionals(fam)
-    if funcs is not None:
-        lams = []
-        for coeffs, const in funcs:
-            lams.append(sum((c * x for c, x in zip(coeffs, point)), Q(0)) + const)
-        if any(l <= 0 for l in lams):
-            return False
-        # the barycentric solve is a left inverse; re-check the combination
-        if sum(lams, Q(0)) != 1:
-            return False
-        mix = [sum((l * p[c] for l, p in zip(lams, fam)), Q(0))
-               for c in range(len(point))]
-        return tuple(mix) == tuple(point)
-    res = relint_intersection([fam, [tuple(point)]])
-    return res.feasible
+    simplex = _simplex_functionals(fam) if len(fam) == dim + 1 else None
+    if simplex is not None:
+        rows, _ = simplex
+        return all(sum((r[c] * point[c] for c in range(dim)), Q(0)) + r[dim] > 0
+                   for r in rows)
+    return relint_intersection([fam, [point]]).feasible
 
 
 def radon_data(diagram: ShephardDiagram, ell: Optional[int] = None) -> RadonData:
@@ -327,13 +287,15 @@ def radon_data(diagram: ShephardDiagram, ell: Optional[int] = None) -> RadonData
                   if lab not in (1, ell) and gens[lab][1] < 0)
     y = {lab: Q(diagram.weights[lab] * gens[lab][1]) for lab in upper + lower}
     s = sum((y[a] for a in upper), Q(0))
-    assert s == -sum((y[b] for b in lower), Q(0))
+    if s != -sum((y[b] for b in lower), Q(0)):
+        raise InvariantViolation("weighted heights of the split do not cancel")
     dim = diagram.ambient_dim
     point = tuple(
         sum((y[a] * diagram.points[a][c] for a in upper), Q(0)) / s for c in range(dim))
     flipped = tuple(
         -sum((y[b] * diagram.points[b][c] for b in lower), Q(0)) / s for c in range(dim))
-    assert point == flipped, "affine relation violated: Radon point mismatch"
+    if point != flipped:
+        raise InvariantViolation("affine relation violated: Radon point mismatch")
     hull_pts = [diagram.points[lab] for lab in upper + lower]
     kern = kernel_basis(QMatrix.from_rows([[*p, Q(-1)] for p in hull_pts]))
     if kern.cols != 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .exactmath import integer_det
+from .exactmath import InvariantViolation, integer_det
 from .planefan import (
     NoOppositeRay,
     PlaneFan,
@@ -153,7 +153,8 @@ def shift(fan: PlaneFan, color: int, e: int) -> PlaneFan:
     while b != i:
         x, y = rays[b]
         yp = det2(vi, rays[b])
-        assert yp < 0, "lower-block ray with nonnegative normalized height"
+        if yp >= 0:
+            raise InvariantViolation("lower-block ray with nonnegative normalized height")
         rays[b] = (x - e * yp * vi[0], y - e * yp * vi[1])
         b = (b + 1) % fan.m
     return PlaneFan(tuple(rays))
@@ -342,8 +343,9 @@ def projection(mat: CharMatrix, label) -> CharMatrix:
     rows = [list(r) for r in mat.rows]
     for r in range(len(rows)):
         if r != rho and rows[r][target] != 0:
-            c = rows[r][target] // pv if rows[r][target] % pv == 0 else None
-            assert c is not None
+            if rows[r][target] % pv != 0:
+                raise InvariantViolation("pivot entry does not divide its column")
+            c = rows[r][target] // pv
             rows[r] = [a - c * b for a, b in zip(rows[r], rows[rho])]
     del rows[rho]
     new_labels = []

@@ -1,15 +1,34 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's simplex path so that agreement is
-meaningful: Fourier-Motzkin elimination for feasibility, and a rational grid
-sweep for relative-interior membership in the plane.
+meaningful: Fourier-Motzkin elimination for feasibility, a rational grid
+sweep for relative-interior membership in the plane, and a minor-by-minor
+cofactor matrix against which the library's integer adjugate is checked.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from toricwedge.exactmath import integer_det
+
 Q = Fraction
+
+
+def cofactor_matrix(m):
+    """Cofactor matrix of a square integer matrix, one minor per entry.
+
+    cof[r][c] = (-1)^(r+c) det(m without row r and column c), so
+    adj(m)[c][r] == cof[r][c].
+    """
+    n = len(m)
+    cof = [[0] * n for _ in range(n)]
+    for r in range(n):
+        rows = [row for i, row in enumerate(m) if i != r]
+        for c in range(n):
+            minor = [row[:c] + row[c + 1:] for row in rows]
+            cof[r][c] = (-1) ** (r + c) * integer_det(minor)
+    return cof
 
 
 def fourier_motzkin_feasible(system) -> bool:

@@ -1,14 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import toricwedge
 from toricwedge.cli import main
+
+SRC = str(Path(toricwedge.__file__).resolve().parents[1])
 
 
 def run_cli(args):
     return main(args)
+
+
+def run_python(*args):
+    """Run the interpreter on args with this tree's package importable."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def write_fan(tmp_path, name, rays):
@@ -166,17 +178,13 @@ class TestShephard:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = write_fan(tmp_path, "cp2.json", [[1, 0], [0, 1], [-1, -1]])
-        proc = subprocess.run(
-            [sys.executable, "-m", "toricwedge", "check", "--in", path],
-            capture_output=True, text=True)
+        proc = run_python("-m", "toricwedge", "check", "--in", path)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "projective"
 
     def test_no_floats_anywhere(self, tmp_path):
         path = write_fan(tmp_path, "pent.json", PENTAGON)
-        proc = subprocess.run(
-            [sys.executable, "-m", "toricwedge", "shephard", "--in", path],
-            capture_output=True, text=True)
+        proc = run_python("-m", "toricwedge", "shephard", "--in", path)
         data = json.loads(proc.stdout)
 
         def no_floats(x):
@@ -189,3 +197,31 @@ class TestEntryPoint:
             return True
 
         assert no_floats(data)
+
+    def test_invariants_survive_optimized_mode(self):
+        # python -O strips assert statements; the invariants raise instead.
+        # PlaneFan built directly skips validation: (1,0),(1,1),(0,1) breaks
+        # the rotation identity v_(i-1) + v_(i+1) = a_i v_i at ray 1.
+        code = ("from toricwedge.exactmath import InvariantViolation\n"
+                "from toricwedge.planefan import PlaneFan, rotation_numbers\n"
+                "try:\n"
+                "    rotation_numbers(PlaneFan(((1, 0), (1, 1), (0, 1))))\n"
+                "except InvariantViolation as e:\n"
+                "    print('raised:', e)\n")
+        proc = run_python("-O", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised: rotation identity failed on a valid fan\n"
+
+
+MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "cols": []}']
+
+
+@pytest.mark.parametrize("command", ["check", "reduce", "shephard"])
+@pytest.mark.parametrize("text", MALFORMED_INPUTS)
+def test_malformed_json_shape_exits_2(command, text, tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    proc = run_python("-m", "toricwedge", command, "--in", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("invalid input:") and proc.stderr.count("\n") == 1

@@ -10,6 +10,7 @@ from toricwedge.exactmath import (
     OnesNotInKernel,
     QMatrix,
     StrictLinearSystem,
+    integer_adjugate,
     integer_det,
     kernel_basis,
     kernel_with_ones,
@@ -17,7 +18,7 @@ from toricwedge.exactmath import (
     strict_feasible,
     verify_result,
 )
-from oracles import fourier_motzkin_feasible, grid_relint_intersection_2d
+from oracles import cofactor_matrix, fourier_motzkin_feasible, grid_relint_intersection_2d
 
 Q = Fraction
 
@@ -131,8 +132,8 @@ class TestStrictFeasible:
 
     def test_pentagon_coface_system(self):
         # point strictly inside all five pentagon cofaces for d=2, via the
-        # barycentric encoding; the shaded region is the triangle
-        # (0,0) (1/3,0) (0,1)
+        # full-simplex encoding (each coface is three affinely independent
+        # points); the shaded region is the triangle (0,0) (1/3,0) (0,1)
         res = relint_intersection(pentagon_cofaces(2))
         assert res.feasible
         x, y = res.witness
@@ -278,6 +279,52 @@ class TestIntegerDet:
             got = integer_det(m)
             if expect is not None:
                 assert got == expect
+
+
+class TestIntegerAdjugate:
+    def test_empty_matrix(self):
+        assert integer_adjugate([]) == ([], 1)
+
+    def test_not_square(self):
+        with pytest.raises(NotSquare):
+            integer_adjugate([[1, 2, 3], [4, 5, 6]])
+
+    def test_zero_leading_entry_swaps_rows(self):
+        m = [[0, 1], [1, 0]]
+        adj, det = integer_adjugate(m)
+        assert det == -1
+        assert adj == [[0, -1], [-1, 0]]
+
+    def test_singular_returns_none(self):
+        assert integer_adjugate([[1, 2], [2, 4]]) is None
+        assert integer_adjugate([[0, 0, 1], [0, 0, 2], [3, 4, 5]]) is None
+        assert integer_adjugate([[0]]) is None
+
+    def test_matches_cofactor_reference(self):
+        rng = random.Random(11)
+        singular = swapped = 0
+        for trial in range(400):
+            n = trial % 9  # sizes 0..8
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n > 1 and trial % 5 == 0:
+                m[0][0] = 0  # a zero leading entry forces a row swap
+                swapped += 1
+            if n > 2 and trial % 7 == 0:
+                m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]  # dependent row
+            det = integer_det(m)
+            got = integer_adjugate(m)
+            if det == 0:
+                assert got is None
+                singular += 1
+                continue
+            adj, d = got
+            assert d == det
+            cof = cofactor_matrix(m)
+            assert all(adj[c][j] == cof[j][c] for j in range(n) for c in range(n))
+            # adj(m) . m == det * I
+            assert all(sum(adj[i][k] * m[k][j] for k in range(n)) == det * (i == j)
+                       for i in range(n) for j in range(n))
+        assert singular > 20 and swapped > 20  # both branches are exercised
 
 
 def _det_by_expansion(m):
