@@ -13,6 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .exactmath import InvariantViolation
 from .planefan import (
     FanError,
     cp2_fan,
@@ -152,7 +153,7 @@ def _identify_base(base) -> dict:
     for d in range(bound + 1):
         if is_equivalent(base, hirzebruch_fan(d)):
             return {"type": "hirzebruch", "d": d}
-    raise AssertionError("terminal 4-ray fan matches no Hirzebruch model")
+    raise InvariantViolation("terminal 4-ray fan matches no Hirzebruch model")
 
 
 def cmd_reduce(args) -> int:

@@ -10,6 +10,7 @@ equal or differ by a shift along the line through ray i and its opposite.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -18,6 +19,7 @@ from .exactmath import InvariantViolation, integer_det
 from .planefan import (
     NoOppositeRay,
     PlaneFan,
+    apply_unimodular,
     det2,
     enumerate_fans,
     opposite_position,
@@ -210,9 +212,6 @@ class Puzzle:
     def edge_parameter(self, a, b) -> Optional[int]:
         color = next(i + 1 for i in range(self.sig.m) if a[i] != b[i])
         return is_edge(self.assignment[a], self.assignment[b], color)
-
-    def edge_data(self):
-        return {(a, b): self.edge_parameter(a, b) for a, b in gj_edges(self.sig)}
 
     def __eq__(self, other):
         return isinstance(other, Puzzle) and self.sig == other.sig \
@@ -469,35 +468,93 @@ def _transform_fan(fan: PlaneFan, pos_map, reflect: bool) -> PlaneFan:
     return PlaneFan(tuple(rays))
 
 
+def _copy_classes(p: Puzzle, verts, color: int):
+    """Class of each copy of a color: two copies share a class iff swapping
+    them leaves every fan of the puzzle in place."""
+    slices = {}
+    for a in verts:
+        slices.setdefault(a[color], []).append(p.assignment[a].rays)
+    first = {}
+    return {k: first.setdefault(tuple(sl), k) for k, sl in slices.items()}
+
+
+def _tie_orders(group, classes):
+    """Every order of a run of copies with equal single-copy fans that can
+    give a different key: one order when all of them are interchangeable."""
+    seen = set()
+    out = []
+    for perm in itertools.permutations(group):
+        pattern = tuple(classes[k] for k in perm)
+        if pattern not in seen:
+            seen.add(pattern)
+            out.append(perm)
+    return out
+
+
 def puzzle_canonical_key(p: Puzzle):
     """Minimal serialization over polygon symmetries, copy relabelings per
     color, and a simultaneous basis change.  Keys are comparable across
     signatures that differ by a polygon symmetry, so equivalent puzzles over
-    relabeled signatures collide."""
+    relabeled signatures collide.
+
+    The key of one relabeling is (new J, ((alpha, fan at alpha in the basis
+    of the base fan), ...)) over the vertices alpha of G(J) in lexicographic
+    order, and the canonical key is its minimum.  Only the dihedral maps
+    with the smallest new J and, under them, the base copies (one per
+    color) with the smallest normalized base fan can reach it, so only those
+    are expanded.  For a fixed base the basis is fixed too, and the other
+    copies of each color are put in order of their single-copy fans (the
+    fan at the vertex that differs from the base in that color alone).
+    Every relabeling that attains the minimum is in that order: the vertex
+    carrying copy k of a color, with the base everywhere else, comes before
+    every vertex that depends on copies k' > k of that color, so swapping an
+    out-of-order pair k < k' changes nothing before it and lowers the fan
+    there.  The ∏ j_i! copy permutations thus reduce to ∏ j_i base choices.
+    Copies whose single-copy fans tie may still differ at other vertices, and
+    then every order of the tied run is tried; tied copies that swap without
+    moving any fan (always the case for enumerated puzzles, where equal
+    single-copy fans mean equal offsets) need one order only.
+    """
     sig = p.sig
     m, J = sig.m, sig.J
-    best = None
-    for pos_map, reflect in _dihedral_maps(m):
-        new_j = tuple(J[pos_map[x]] for x in range(m))
-        verts = list(itertools.product(*[range(1, j + 1) for j in new_j]))
-        copy_perms = [itertools.permutations(range(1, new_j[x] + 1)) for x in range(m)]
-        for gs in itertools.product(*copy_perms):
-            mapped = {}
-            for alpha in verts:
-                old_alpha = [0] * m
-                for x in range(m):
-                    old_alpha[pos_map[x]] = gs[x][alpha[x] - 1]
-                mapped[alpha] = _transform_fan(
-                    p.assignment[tuple(old_alpha)], pos_map, reflect)
-            base = mapped[(1,) * m]
-            (pp, rr) = base.rays[0]
-            (qq, ss) = base.rays[1]
+    verts = list(gj_vertices(sig))
+    maps = [(tuple(J[o] for o in pos_map), pos_map, reflect)
+            for pos_map, reflect in _dihedral_maps(m)]
+    new_j = min(nj for nj, _, _ in maps)
+    # the base fan of each (dihedral map, base copies) in its own basis
+    bases = []
+    for nj, pos_map, reflect in maps:
+        if nj != new_j:
+            continue
+        moved = {a: _transform_fan(p.assignment[a], pos_map, reflect) for a in verts}
+        for b in verts:
+            (pp, rr), (qq, ss) = moved[b].rays[:2]
             u = ((ss, -qq), (-rr, pp))
-            key = (new_j, tuple(
-                (alpha,
-                 tuple((u[0][0] * x + u[0][1] * y, u[1][0] * x + u[1][1] * y)
-                       for x, y in mapped[alpha].rays))
-                for alpha in verts))
+            bases.append((apply_unimodular(moved[b], u).rays, pos_map, moved, b, u))
+    least = min(base for base, *_ in bases)
+    new_verts = list(itertools.product(*[range(1, j + 1) for j in new_j]))
+    classes = {o: _copy_classes(p, verts, o) for o in range(m) if J[o] > 1}
+    best = None
+    for base, pos_map, moved, b, u in bases:
+        if base != least:
+            continue
+        per_position = []
+        for o in pos_map:
+            rest = [k for k in range(1, J[o] + 1) if k != b[o]]
+            single = {k: apply_unimodular(moved[b[:o] + (k,) + b[o + 1:]], u).rays
+                      for k in rest}
+            rest.sort(key=single.__getitem__)
+            runs = [list(g) for _, g in itertools.groupby(rest, key=single.__getitem__)]
+            choices = [_tie_orders(run, classes[o]) for run in runs]
+            per_position.append([(b[o],) + sum(c, ()) for c in itertools.product(*choices)])
+        for gs in itertools.product(*per_position):
+            old = [None] * m
+            fans = []
+            for alpha in new_verts:
+                for x, o in enumerate(pos_map):
+                    old[o] = gs[x][alpha[x] - 1]
+                fans.append((alpha, apply_unimodular(moved[tuple(old)], u).rays))
+            key = (new_j, tuple(fans))
             if best is None or key < best:
                 best = key
     return best
@@ -511,7 +568,17 @@ def enumerate_puzzles(sig: WedgeSignature, base_depth: int, e_bound: int) -> lis
 
 
 def enumerate_puzzles_keyed(sig: WedgeSignature, base_depth: int, e_bound: int):
-    """enumerate_puzzles together with each class's canonical key, sorted."""
+    """enumerate_puzzles together with each class's canonical key, sorted.
+
+    The copies of a color are interchangeable, so each color's offsets are
+    drawn as a sorted multiset (combinations_with_replacement) and never as
+    an ordered tuple: every ordering of a multiset is a copy relabeling of
+    the same puzzle, with the same canonical key and the same validity.  For
+    a given base the lexicographically first offset tuple of a class is
+    sorted within each color, and the multisets come in lexicographic order,
+    so the representative kept for each key is the one the ordered tuples
+    would give first.
+    """
     m, J = sig.m, sig.J
     out = {}
     for base in enumerate_fans(m, base_depth):
@@ -524,7 +591,8 @@ def enumerate_puzzles_keyed(sig: WedgeSignature, base_depth: int, e_bound: int):
                 per_color.append([(0,) * (J[i - 1] - 1)])
             else:
                 rng = range(-e_bound, e_bound + 1)
-                per_color.append(list(itertools.product(rng, repeat=J[i - 1] - 1)))
+                per_color.append(list(itertools.combinations_with_replacement(
+                    rng, J[i - 1] - 1)))
         for combo in itertools.product(*per_color):
             assignment = {}
             ok = True
@@ -563,8 +631,11 @@ def matrix_from_dict(data: dict) -> CharMatrix:
     labels = []
     cols = []
     for entry in data["cols"]:
-        i, k = entry["label"].split("_")
-        labels.append((int(i), int(k)))
+        label = entry["label"]
+        match = isinstance(label, str) and re.fullmatch(r"([0-9]+)_([0-9]+)", label)
+        if not match or min(int(match[1]), int(match[2])) < 1:
+            raise ValueError(f"column label {label!r} is not i_k with integers i, k >= 1")
+        labels.append((int(match[1]), int(match[2])))
         cols.append([int(x) for x in entry["v"]])
     n = int(data["n"])
     if any(len(c) != n for c in cols):

@@ -4,13 +4,24 @@ These deliberately avoid the library's simplex path so that agreement is
 meaningful: Fourier-Motzkin elimination for feasibility, a rational grid
 sweep for relative-interior membership in the plane, and a minor-by-minor
 cofactor matrix against which the library's integer adjugate is checked.
+The puzzle classes are checked against a canonical key that tries every
+copy permutation and an enumeration over every ordered offset tuple.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from toricwedge.exactmath import integer_det
+from toricwedge.planefan import NoOppositeRay, enumerate_fans, opposite_position
+from toricwedge.wedgepuzzle import (
+    Puzzle,
+    _dihedral_maps,
+    _transform_fan,
+    gj_vertices,
+    shift,
+    validate_puzzle,
+)
 
 Q = Fraction
 
@@ -163,3 +174,78 @@ def _in_relint_2d(point, fam):
         l3 = 1 - l1 - l2
         return l1 > 0 and l2 > 0 and l3 > 0
     raise ValueError("grid oracle handles at most 3 points per family")
+
+
+def permutation_canonical_key(p):
+    """Canonical key of a puzzle by brute force over every copy permutation.
+
+    For each dihedral map and each of the prod(j_i!) relabelings of the
+    copies, serialize the whole assignment in the basis of the relabeled base
+    fan and keep the minimum.  The library's key must equal this one exactly.
+    """
+    sig = p.sig
+    m, J = sig.m, sig.J
+    best = None
+    for pos_map, reflect in _dihedral_maps(m):
+        new_j = tuple(J[pos_map[x]] for x in range(m))
+        verts = list(product(*[range(1, j + 1) for j in new_j]))
+        copy_perms = [permutations(range(1, new_j[x] + 1)) for x in range(m)]
+        for gs in product(*copy_perms):
+            mapped = {}
+            for alpha in verts:
+                old_alpha = [0] * m
+                for x in range(m):
+                    old_alpha[pos_map[x]] = gs[x][alpha[x] - 1]
+                mapped[alpha] = _transform_fan(
+                    p.assignment[tuple(old_alpha)], pos_map, reflect)
+            base = mapped[(1,) * m]
+            (pp, rr) = base.rays[0]
+            (qq, ss) = base.rays[1]
+            u = ((ss, -qq), (-rr, pp))
+            key = (new_j, tuple(
+                (alpha,
+                 tuple((u[0][0] * x + u[0][1] * y, u[1][0] * x + u[1][1] * y)
+                       for x, y in mapped[alpha].rays))
+                for alpha in verts))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
+    """Classes of valid puzzles from every ordered tuple of offsets per color.
+
+    Each candidate is keyed by permutation_canonical_key, and the first
+    candidate met for a key is its representative, in the same loop order as
+    the library (bases, then offset tuples lexicographically).
+    """
+    m, J = sig.m, sig.J
+    out = {}
+    for base in enumerate_fans(m, base_depth):
+        per_color = []
+        for i in range(1, m + 1):
+            if J[i - 1] == 1:
+                per_color.append([()])
+            elif opposite_position(base, i - 1) is None:
+                per_color.append([(0,) * (J[i - 1] - 1)])
+            else:
+                rng = range(-e_bound, e_bound + 1)
+                per_color.append(list(product(rng, repeat=J[i - 1] - 1)))
+        for combo in product(*per_color):
+            assignment = {}
+            try:
+                for alpha in gj_vertices(sig):
+                    fan = base
+                    for i in range(1, m + 1):
+                        if alpha[i - 1] > 1 and combo[i - 1][alpha[i - 1] - 2]:
+                            fan = shift(fan, i, combo[i - 1][alpha[i - 1] - 2])
+                    assignment[alpha] = fan
+            except NoOppositeRay:
+                continue
+            puzzle = Puzzle(sig, assignment)
+            if not validate_puzzle(puzzle):
+                continue
+            key = permutation_canonical_key(puzzle)
+            if key not in out:
+                out[key] = puzzle
+    return [(k, out[k]) for k in sorted(out)]

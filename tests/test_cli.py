@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -213,7 +214,12 @@ class TestEntryPoint:
         assert proc.stdout == "raised: rotation identity failed on a valid fan\n"
 
 
-MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "cols": []}']
+MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "cols": []}',
+                    '{"n": 3, "cols": [{"label": "0_1", "v": [1, 0, 0]},'
+                    ' {"label": "1_1", "v": [0, 1, 0]}]}',
+                    '{"n": 2, "cols": [{"label": "x", "v": [1, 0]}]}',
+                    '{"n": 2, "cols": [{"label": "1_-1", "v": [1, 0]}]}',
+                    '{"n": 2, "cols": [{"label": "1_1_1", "v": [1, 0]}]}']
 
 
 @pytest.mark.parametrize("command", ["check", "reduce", "shephard"])
@@ -225,3 +231,7 @@ def test_malformed_json_shape_exits_2(command, text, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("invalid input:") and proc.stderr.count("\n") == 1
+    # a bad column label is named in the message (the first label is the bad one)
+    label = re.search(r'"label": "([^"]*)"', text)
+    if label:
+        assert f"'{label[1]}'" in proc.stderr

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from toricwedge.planefan import (
     NoOppositeRay,
     PlaneFan,
     cp2_fan,
+    enumerate_fans,
     hirzebruch_fan,
     is_equivalent,
     normalize_basis,
@@ -22,6 +24,7 @@ from toricwedge.wedgepuzzle import (
     build_complex,
     check_nonsingular,
     enumerate_puzzles,
+    enumerate_puzzles_keyed,
     fan_from_matrix,
     gj_cubes,
     gj_edges,
@@ -35,12 +38,14 @@ from toricwedge.wedgepuzzle import (
     project_to_vertex,
     projection,
     puzzle_from_dict,
+    puzzle_canonical_key,
     puzzle_to_dict,
     realizable_square,
     shift,
     signature,
     validate_puzzle,
 )
+from oracles import ordered_enumerate_puzzles_keyed, permutation_canonical_key
 
 
 def pentagon(d):
@@ -434,6 +439,91 @@ class TestEnumerate:
         a = enumerate_puzzles(signature(4, (2, 1, 1, 1)), 2, 1)
         b = enumerate_puzzles(signature(4, (2, 1, 1, 1)), 2, 1)
         assert [p.assignment for p in a] == [p.assignment for p in b]
+
+
+# signatures with j_i = 3 and 4 and with two and three wedged colours
+KEYED_SIGNATURES = [
+    (3, (2, 2, 1)),
+    (4, (2, 2, 2, 1)),
+    (4, (3, 1, 2, 1)),
+    (5, (3, 3, 1, 1, 1)),
+    (5, (4, 1, 1, 1, 1)),
+    (6, (2, 1, 2, 1, 2, 1)),
+]
+
+
+def relabel_puzzle(p, pos_map, reflect):
+    """The same puzzle over the polygon relabeled by a dihedral map (new->old)."""
+    m = p.sig.m
+    sig = WedgeSignature(m, tuple(p.sig.J[o] for o in pos_map))
+    assignment = {}
+    for alpha in gj_vertices(sig):
+        old = [0] * m
+        for x, o in enumerate(pos_map):
+            old[o] = alpha[x]
+        rays = [p.assignment[tuple(old)].rays[o] for o in pos_map]
+        if reflect:
+            rays = [(y, x) for x, y in rays]
+        assignment[alpha] = PlaneFan(tuple(rays))
+    return Puzzle(sig, assignment)
+
+
+def permute_copies(p, color, perm):
+    """The same puzzle with copy k of `color` renamed perm[k - 1]."""
+    return Puzzle(p.sig, {a[:color - 1] + (perm[a[color - 1] - 1],) + a[color:]: f
+                          for a, f in p.assignment.items()})
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("m,J", KEYED_SIGNATURES)
+    def test_enumeration_matches_ordered_reference(self, m, J):
+        sig = signature(m, J)
+        got = enumerate_puzzles_keyed(sig, 2, 2)
+        want = ordered_enumerate_puzzles_keyed(sig, 2, 2)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert [puzzle_to_dict(p) for _, p in got] == [puzzle_to_dict(p) for _, p in want]
+
+    def test_repeated_offsets(self):
+        base = pentagon(2)
+        for offsets in ((1, 1), (0, 0), (-1, 1), (1, -1, 1), (0, 2, 0), (2, 2, 2)):
+            J = (len(offsets) + 1, 1, 1, 1, 1)
+            edges = [{"color": 1, "from": [1] * 5, "to": [k, 1, 1, 1, 1], "e": e}
+                     for k, e in enumerate(offsets, start=2)]
+            p = puzzle_from_dict({"m": 5, "J": list(J), "base": {"rays": base.rays},
+                                  "edges": edges})
+            assert puzzle_canonical_key(p) == permutation_canonical_key(p)
+
+    def test_permuted_and_relabeled_copies(self):
+        from toricwedge.wedgepuzzle import _dihedral_maps
+        rng = random.Random(7)
+        for m, J in ((4, (3, 1, 2, 1)), (5, (1, 3, 1, 1, 3))):
+            for key, p in rng.sample(enumerate_puzzles_keyed(signature(m, J), 2, 2), 6):
+                for color in range(1, m + 1):
+                    perm = list(range(1, J[color - 1] + 1))
+                    rng.shuffle(perm)
+                    p = permute_copies(p, color, perm)
+                assert puzzle_canonical_key(p) == permutation_canonical_key(p) == key
+                for pos_map, reflect in rng.sample(_dihedral_maps(m), 3):
+                    q = relabel_puzzle(p, pos_map, reflect)
+                    assert puzzle_canonical_key(q) == permutation_canonical_key(q) == key
+
+    def test_arbitrary_assignments_with_ties(self):
+        # fans drawn from a pool of two or four: copies tie on their
+        # single-copy fan yet differ at other vertices
+        rng = random.Random(11)
+        for _ in range(150):
+            m = rng.choice((3, 4, 5))
+            J = tuple(rng.choice((1, 2, 2, 3)) for _ in range(m))
+            if math.prod(J) > 12:
+                continue
+            sig = signature(m, J)
+            fans = enumerate_fans(m, 2)
+            pool = []
+            for fan in rng.sample(fans, min(len(fans), rng.choice((1, 2)))):
+                k = rng.randrange(m)
+                pool += [fan, PlaneFan(fan.rays[k:] + fan.rays[:k])]
+            p = Puzzle(sig, {a: rng.choice(pool) for a in gj_vertices(sig)})
+            assert puzzle_canonical_key(p) == permutation_canonical_key(p)
 
 
 class TestJson:
