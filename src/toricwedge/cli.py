@@ -28,11 +28,10 @@ from .shephard import (
     NotComplete,
     SingularInput,
     _fan_data,
+    certify,
     coface_indices,
-    is_strongly_polytopal,
     s_sigma,
     shephard_diagram,
-    support_function_polytopal,
 )
 from .wedgepuzzle import (
     InvalidPuzzle,
@@ -129,20 +128,19 @@ def _write(data: dict, path) -> None:
 def cmd_check(args) -> int:
     try:
         obj = load_input(args.infile)
-        ok1, cert1 = is_strongly_polytopal(obj)
-        ok2, cert2 = support_function_polytopal(obj)
+        verdict, cert1, cert2 = certify(obj)
     except (FanError, InvalidPuzzle, SingularInput, NotComplete, ValueError,
             KeyError, json.JSONDecodeError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
-    if ok1 != ok2:
-        _write({"verdict": "oracle-disagreement",
-                "shephard": ok1, "support": ok2}, args.out)
+    if verdict == "oracle-disagreement":
+        ok1 = cert1.kind == "interior-point"
+        _write({"verdict": verdict, "shephard": ok1, "support": not ok1}, args.out)
         return EXIT_DISAGREEMENT
-    if not ok1:
-        _write({"verdict": "not-strongly-polytopal"}, args.out)
+    if verdict == "not-strongly-polytopal":
+        _write({"verdict": verdict}, args.out)
         return EXIT_NOT_POLYTOPAL
-    _write(certificate_to_dict("projective", cert1, cert2), args.out)
+    _write(certificate_to_dict(verdict, cert1, cert2), args.out)
     return EXIT_PROJECTIVE
 
 
@@ -202,20 +200,12 @@ def _certify(job):
     puzzle = puzzle_from_dict(puzzle_dict)
     cx = build_complex(puzzle.sig)
     mat = assemble_matrix(puzzle)
-    ok1, cert1 = is_strongly_polytopal(mat, cx)
-    ok2, cert2 = support_function_polytopal(mat, cx)
-    if ok1 != ok2:
-        verdict = "oracle-disagreement"
-    elif ok1:
-        verdict = "projective"
-    else:
-        verdict = "not-strongly-polytopal"
+    verdict, cert1, cert2 = certify(mat, cx)
     return {
         "puzzle": puzzle_dict,
         "matrix": matrix_to_dict(mat),
         "verdict": verdict,
-        "certificate": certificate_to_dict(verdict, cert1 if ok1 else None,
-                                           cert2 if ok2 else None),
+        "certificate": certificate_to_dict(verdict, cert1, cert2),
     }
 
 
@@ -223,6 +213,9 @@ def cmd_classify(args) -> int:
     try:
         J = tuple(int(x) for x in args.j.split(","))
         sig = signature(args.m, J)
+        for flag, value in (("--base-depth", args.base_depth), ("--e-bound", args.e_bound)):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative, got {value}")
     except (ValueError, TypeError) as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,10 +1,18 @@
 """Exact rational linear algebra and strict-inequality feasibility.
 
-Everything here is computed over Python's Fraction type, so verdicts come
-with witnesses that re-substitute exactly.  The feasibility engine is a
-two-phase simplex with Bland's anti-cycling rule, maximizing an auxiliary
-slack variable t (capped at 1); a system with strict inequalities is
-feasible iff the optimal t is positive.
+Every value is an exact rational, so verdicts come with witnesses that
+re-substitute exactly.  The feasibility engine is a two-phase simplex with
+Bland's anti-cycling rule, maximizing an auxiliary slack variable t (capped
+at 1); a system with strict inequalities is feasible iff the optimal t is
+positive.
+
+The loops run on integers: integer constraint rows stay integers, the
+simplex tableau and its objective row are integer, row reduction is
+fraction-free, and slack and barycentric coordinates are computed over one
+common denominator.  Fraction remains at the API boundary (QMatrix entries
+and the kernel bases returned, non-integer constraint entries, and the
+witness, slack and barycentric tuples of a result), and in the general
+relint encoding, whose rows hold the Fraction points.
 
 Facet and coface matrices are inverted one way only: integer_adjugate, a
 fraction-free Gauss-Jordan elimination that returns the integer adjugate and
@@ -18,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
+from operator import mul as _mul
 from typing import Optional, Sequence
 
 Q = Fraction
@@ -49,6 +58,11 @@ def _q(x) -> Fraction:
 
 def _qvec(v) -> tuple[Fraction, ...]:
     return tuple(_q(x) for x in v)
+
+
+def _exact(x):
+    """An int stays an int; anything else becomes a Fraction."""
+    return x if type(x) is int else _q(x)
 
 
 @dataclass(frozen=True)
@@ -101,33 +115,49 @@ class QMatrix:
         return all(x == 0 for r in self.entries for x in r)
 
     def rank(self) -> int:
-        _, pivots = _rref([list(r) for r in self.entries])
+        _, pivots = _rref(self.entries)
         return len(pivots)
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _content(v) -> int:
+    """gcd of the entries of an integer vector, stopping as soon as it is 1."""
+    g = 0
+    for x in v:
+        if x:
+            g = _gcd(g, x)
+            if g == 1:
+                break
+    return g
+
+
+def _rref(rows) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
+
+    Returns (rows, pivots) with one integer row per pivot: entry (r, c) of the
+    RREF is rows[r][c] / rows[r][pivots[r]].  Each input row is scaled to
+    integers first and divided by its content after every update.
+    """
+    rows = [clear_denominators(r)[0] for r in rows]
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        for i, ri in enumerate(rows):
+            f = ri[c]
+            if f and i != r:
+                ri = [pv * a - f * b for a, b in zip(ri, prow)]
+                g = _content(ri)
+                rows[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return rows[:r], pivots
 
 
 def kernel_basis(m: QMatrix) -> QMatrix:
@@ -135,14 +165,14 @@ def kernel_basis(m: QMatrix) -> QMatrix:
 
     m.mul(result) is exactly zero and the result has m.cols - rank(m) columns.
     """
-    rows, pivots = _rref([list(r) for r in m.entries])
+    rows, pivots = _rref(m.entries)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for f in free:
         v = [Q(0)] * m.cols
         v[f] = Q(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+        for row, p in zip(rows, pivots):
+            v[p] = Q(-row[f], row[p])
         basis.append(v)
     # basis vectors become columns
     return QMatrix.from_rows(
@@ -160,26 +190,14 @@ def kernel_with_ones(m: QMatrix) -> QMatrix:
     """
     if m.cols == 0:
         return QMatrix.from_rows([], cols=0)
-    ones = [Q(1)] * m.cols
-    if any(sum(r, Q(0)) != 0 for r in m.entries):
+    if any(sum(clear_denominators(r)[0]) for r in m.entries):
         raise OnesNotInKernel("row sums of the input are not all zero")
     kern = kernel_basis(m)
-    # Greedily extend {ones} to a kernel basis by independent kernel columns.
-    selected: list[list[Fraction]] = [ones]
-    picked = QMatrix.from_rows([ones], cols=m.cols)
-    for j in range(kern.cols):
-        if len(selected) == kern.cols:
-            break
-        cand = list(kern.column(j))
-        trial = QMatrix.from_rows(list(picked.entries) + [cand], cols=m.cols)
-        if trial.rank() == len(selected) + 1:
-            selected.append(cand)
-            picked = trial
-    order = selected[1:] + [selected[0]]  # ones column last
-    return QMatrix.from_rows(
-        [[order[j][i] for j in range(len(order))] for i in range(m.cols)],
-        cols=len(order),
-    )
+    # Each column of the RREF kernel basis is a unit vector on its own free
+    # coordinate, so ones is the sum of all k columns: the first k-1 columns
+    # and ones are a basis of the kernel.
+    k = kern.cols
+    return QMatrix.from_rows([[*r[:k - 1], Q(1)] for r in kern.entries], cols=k)
 
 
 def integer_det(m: Sequence[Sequence[int]]) -> int:
@@ -239,24 +257,32 @@ def integer_adjugate(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
-    """(ints, scale): the smallest positive scale making every value integral."""
+    """(ints, scale): the smallest positive scale making every value integral.
+
+    values are ints or Fractions; the scaling is integer arithmetic only.
+    """
     scale = 1
     for v in values:
-        scale = scale * v.denominator // _gcd(scale, v.denominator)
-    return [int(v * scale) for v in values], scale
+        d = v.denominator
+        if d != 1:
+            scale = scale * d // _gcd(scale, d)
+    if scale == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def make_primitive(ints: Sequence[int]) -> list[int]:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
+    g = _content(ints)
     return [v // g for v in ints] if g > 1 else list(ints)
 
 
 @dataclass(frozen=True)
 class StrictLinearSystem:
-    """Linear system a.x = b / a.x <= b / a.x < b over a common dimension."""
+    """Linear system a.x = b / a.x <= b / a.x < b over a common dimension.
+
+    Entries are exact: ints as given, every other number as a Fraction.
+    """
 
     dimension: int
     equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
@@ -268,11 +294,11 @@ class StrictLinearSystem:
         def conv(cons):
             out = []
             for a, b in cons:
-                a = _qvec(a)
+                a = tuple(map(_exact, a))
                 if len(a) != dimension:
                     raise DimensionMismatch(
                         f"constraint length {len(a)} != dimension {dimension}")
-                out.append((a, _q(b)))
+                out.append((a, _exact(b)))
             return tuple(out)
 
         return cls(dimension, conv(equalities), conv(weak), conv(strict))
@@ -290,8 +316,9 @@ class _Simplex:
     """Exact simplex on an all-integer tableau with Bland's anti-cycling rule.
 
     Rows are integer vectors scaled independently (the basic variable of a row
-    carries a positive integer coefficient rather than 1); the objective row
-    alone is kept in rationals.  Fully deterministic.
+    carries a positive integer coefficient rather than 1).  The objective row
+    is integer numerators over one positive denominator, so each reduced cost
+    has the sign of its numerator.  Fully deterministic.
     """
 
     def __init__(self, rows, basis, ncols):
@@ -300,26 +327,37 @@ class _Simplex:
         self.ncols = ncols
 
     def set_objective(self, objective):
-        obj = list(objective) + [Q(0)]
+        """objective: integer coefficients, one per column."""
+        self.obj, self.den = list(objective) + [0], 1
         for i, b in enumerate(self.basis):
-            if obj[b]:
-                f = obj[b] / self.t[i][b]
-                row = self.t[i]
-                for j, v in enumerate(row):
-                    if v:
-                        obj[j] -= f * v
-        self.obj = obj
+            if self.obj[b]:
+                self._eliminate(self.t[i], b)
+
+    def _eliminate(self, row, col):
+        """Subtract the multiple of row that zeroes the objective at col."""
+        pv, f = row[col], self.obj[col]
+        obj = [pv * x for x in self.obj]
+        for j, v in enumerate(row):
+            if v:
+                obj[j] -= f * v
+        den = self.den * pv
+        g = _gcd(den, _content(obj))
+        if g > 1:
+            obj = [x // g for x in obj]
+            den //= g
+        self.obj, self.den = obj, den
 
     def maximize(self) -> Fraction:
-        t, basis, obj = self.t, self.basis, self.obj
+        t, basis = self.t, self.basis
         while True:
+            obj = self.obj
             entering = -1
             for j in range(self.ncols):
                 if obj[j] > 0:
                     entering = j
                     break  # Bland: lowest index
             if entering < 0:
-                return -obj[-1]
+                return Fraction(-obj[-1], self.den)
             leaving = -1
             bnum = bden = 0
             for i in range(len(t)):
@@ -347,37 +385,26 @@ class _Simplex:
             t[row] = prow
         pv = prow[col]
         nz = [j for j, v in enumerate(prow) if v]
-        for i in range(len(t)):
-            if i == row:
-                continue
-            ri = t[i]
+        for i, ri in enumerate(t):
             f = ri[col]
-            if f:
-                for j in range(len(ri)):
-                    ri[j] = pv * ri[j]
+            if f and i != row:
+                ri = [pv * a for a in ri]
                 for j in nz:
                     ri[j] -= f * prow[j]
-                g = 0
-                for v in ri:
-                    if v:
-                        g = _gcd(g, v)
-                        if g == 1:
-                            break
+                g = _content(ri)
                 if g > 1:
-                    for j in range(len(ri)):
-                        ri[j] //= g
-        obj = self.obj
-        f = obj[col]
-        if f:
-            fq = f / pv
-            for j in nz:
-                obj[j] -= fq * prow[j]
+                    ri = [v // g for v in ri]
+                t[i] = ri
+        if self.obj[col]:
+            self._eliminate(prow, col)
         self.basis[row] = col
 
-    def solution(self) -> list[Fraction]:
-        out = [Q(0)] * self.ncols
-        for i, b in enumerate(self.basis):
-            out[b] = Q(self.t[i][-1], self.t[i][b])
+    def values(self, ncols: int) -> list[tuple[int, int]]:
+        """(numerator, denominator) of the first ncols variables at the vertex."""
+        out = [(0, 1)] * ncols
+        for row, b in zip(self.t, self.basis):
+            if b < ncols:
+                out[b] = (row[-1], row[b])
         return out
 
 
@@ -393,16 +420,15 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     # variable layout: x+ (dim), x- (dim), t | slacks | artificials
     nx = 2 * dim + 1
     t_col = 2 * dim
-    raw: list[tuple[list[Fraction], Fraction, str]] = []
+    raw: list[tuple[list, object, str]] = []
     for a, b in sys.equalities:
-        raw.append(([*a, *(-c for c in a), Q(0)], b, "eq"))
+        raw.append(([*a, *(-c for c in a), 0], b, "eq"))
     for a, b in sys.weak:
-        raw.append(([*a, *(-c for c in a), Q(0)], b, "le"))
+        raw.append(([*a, *(-c for c in a), 0], b, "le"))
     for a, b in sys.strict:
-        raw.append(([*a, *(-c for c in a), Q(1)], b, "le"))
-    raw.append(([Q(0)] * (2 * dim) + [Q(1)], Q(1), "le"))
+        raw.append(([*a, *(-c for c in a), 1], b, "le"))
+    raw.append(([0] * (2 * dim) + [1], 1, "le"))
 
-    m = len(raw)
     nslack = sum(1 for r in raw if r[2] == "le")
     # artificials only for equality rows and flipped inequality rows
     need_art = [kind == "eq" or rhs < 0 for _, rhs, kind in raw]
@@ -436,9 +462,7 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     tab = _Simplex(rows, basis, ncols)
 
     if nart:
-        phase1 = [Q(0)] * ncols
-        for j in range(nx + nslack, ncols):
-            phase1[j] = Q(-1)
+        phase1 = [0] * (nx + nslack) + [-1] * nart
         tab.set_objective(phase1)
         if tab.maximize() != 0:
             return FeasibilityResult(False)
@@ -452,18 +476,21 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
         tab.basis = [tab.basis[i] for i in live]
         tab.ncols = nx + nslack
 
-    phase2 = [Q(0)] * tab.ncols
-    phase2[t_col] = Q(1)
+    phase2 = [0] * tab.ncols
+    phase2[t_col] = 1
     tab.set_objective(phase2)
     topt = tab.maximize()
     if topt <= 0:
         return FeasibilityResult(False)
-    sol = tab.solution()
-    witness = tuple(sol[j] - sol[dim + j] for j in range(dim))
-    dot = lambda a: sum((ai_ * xi for ai_, xi in zip(a, witness)), Q(0))
-    margins = [b - dot(a) for a, b in sys.strict]
-    slack = min(margins) if margins else topt
-    return FeasibilityResult(True, witness, slack)
+    val = tab.values(2 * dim)
+    witness = tuple(Q(pn * md - mn * pd, pd * md)
+                    for (pn, pd), (mn, md) in zip(val[:dim], val[dim:]))
+    if not sys.strict:
+        return FeasibilityResult(True, witness, topt)
+    # smallest margin b - a.x, over the witness's common denominator
+    xs, scale = clear_denominators(witness)
+    margin = min(b * scale - sum(map(_mul, a, xs)) for a, b in sys.strict)
+    return FeasibilityResult(True, witness, Q(margin, scale))
 
 
 def _simplex_functionals(fam):
@@ -522,12 +549,14 @@ def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optio
             res = strict_feasible(StrictLinearSystem.build(dim, (), (), strict))
             if not res.feasible:
                 return res
-            x = res.witness
+            # lambda_j = factor * (r . (xs, scale)) / scale, one Fraction each
+            xs, scale = clear_denominators(res.witness)
             bary = tuple(
-                tuple(factor * (sum((r[c] * x[c] for c in range(dim)), Q(0)) + r[dim])
+                tuple(Q(factor.numerator * (sum(map(_mul, r, xs)) + r[dim] * scale),
+                        factor.denominator * scale)
                       for r in rows)
                 for rows, factor in simplices)
-            return FeasibilityResult(True, x, res.slack, bary)
+            return FeasibilityResult(True, res.witness, res.slack, bary)
 
     # general encoding: variables (x, all lambda)
     sizes = [len(fam) for fam in fams]

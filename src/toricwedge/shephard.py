@@ -177,7 +177,13 @@ def s_sigma(diagram: ShephardDiagram, facets) -> PolytopalityCertificate:
         kind="interior-point", point=res.witness, barycentric=bary, slack=res.slack)
 
 
+@lru_cache(maxsize=1)
 def _validated(obj, cx):
+    """The complex of a valid input; raises on an invalid one.
+
+    One entry is cached, so the two oracles run one after the other on the
+    same object validate it once.
+    """
     if isinstance(obj, PlaneFan):
         validate(obj.rays)
     else:
@@ -251,6 +257,26 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
     heights.update({lab: res.witness[pos[lab]] for lab in free})
     return True, PolytopalityCertificate(
         kind="support-heights", heights=heights, slack=res.slack)
+
+
+def certify(obj, cx: Optional[WedgeComplex] = None
+            ) -> tuple[str, PolytopalityCertificate, PolytopalityCertificate]:
+    """Run both oracles on one object, validated once: the support oracle
+    finds the object that the Shephard oracle validated in _validated's cache.
+
+    Returns (verdict, Shephard certificate, support certificate), where the
+    verdict is "projective", "not-strongly-polytopal" or
+    "oracle-disagreement".
+    """
+    ok1, cert1 = is_strongly_polytopal(obj, cx)
+    ok2, cert2 = support_function_polytopal(obj, cx)
+    if ok1 != ok2:
+        verdict = "oracle-disagreement"
+    elif ok1:
+        verdict = "projective"
+    else:
+        verdict = "not-strongly-polytopal"
+    return verdict, cert1, cert2
 
 
 def point_in_relint(point, family) -> bool:

@@ -4,7 +4,10 @@ These deliberately avoid the library's simplex path so that agreement is
 meaningful: Fourier-Motzkin elimination for feasibility, a rational grid
 sweep for relative-interior membership in the plane, and a minor-by-minor
 cofactor matrix against which the library's integer adjugate is checked.
-The puzzle classes are checked against a canonical key that tries every
+The feasibility engine is checked against the earlier simplex whose
+objective row was kept in Fractions, kernel_basis against a Fraction
+row reduction, and kernel_with_ones against the greedy rank loop it
+replaced.  The puzzle classes are checked against a canonical key that tries every
 copy permutation and an enumeration over every ordered offset tuple.
 """
 
@@ -12,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
-from toricwedge.exactmath import integer_det
+from toricwedge.exactmath import FeasibilityResult, InvariantViolation, QMatrix, integer_det
 from toricwedge.planefan import NoOppositeRay, enumerate_fans, opposite_position
 from toricwedge.wedgepuzzle import (
     Puzzle,
@@ -40,6 +43,235 @@ def cofactor_matrix(m):
             minor = [row[:c] + row[c + 1:] for row in rows]
             cof[r][c] = (-1) ** (r + c) * integer_det(minor)
     return cof
+
+
+def _reference_rref(rows):
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
+    rows = [[Q(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_rank(m):
+    return len(_reference_rref(m.entries)[1])
+
+
+def reference_kernel_basis(m):
+    """Kernel basis from the Fraction RREF, one column per free coordinate."""
+    rows, pivots = _reference_rref(m.entries)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Q(0)] * m.cols
+        v[f] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(v)
+    return QMatrix.from_rows(
+        [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)],
+        cols=len(basis),
+    )
+
+
+def reference_kernel_with_ones(m):
+    """kernel_with_ones by greedy extension of {ones} with independent kernel
+    columns, one rank computation per candidate column."""
+    if m.cols == 0:
+        return QMatrix.from_rows([], cols=0)
+    ones = [Q(1)] * m.cols
+    if any(sum(r, Q(0)) != 0 for r in m.entries):
+        raise ValueError("row sums of the input are not all zero")
+    kern = reference_kernel_basis(m)
+    selected = [ones]
+    picked = QMatrix.from_rows([ones], cols=m.cols)
+    for j in range(kern.cols):
+        if len(selected) == kern.cols:
+            break
+        cand = list(kern.column(j))
+        trial = QMatrix.from_rows(list(picked.entries) + [cand], cols=m.cols)
+        if reference_rank(trial) == len(selected) + 1:
+            selected.append(cand)
+            picked = trial
+    order = selected[1:] + [selected[0]]  # ones column last
+    return QMatrix.from_rows(
+        [[order[j][i] for j in range(len(order))] for i in range(m.cols)],
+        cols=len(order),
+    )
+
+
+def _reference_clear_denominators(values):
+    scale = 1
+    for v in values:
+        scale = scale * Q(v).denominator // gcd(scale, Q(v).denominator)
+    return [int(Q(v) * scale) for v in values], scale
+
+
+class _ReferenceSimplex:
+    """Integer-row simplex with Bland's rule whose objective row is a list of
+    Fractions; every row operation updates the tableau entry by entry."""
+
+    def __init__(self, rows, basis, ncols):
+        self.t = rows
+        self.basis = basis
+        self.ncols = ncols
+
+    def set_objective(self, objective):
+        obj = list(objective) + [Q(0)]
+        for i, b in enumerate(self.basis):
+            if obj[b]:
+                f = obj[b] / self.t[i][b]
+                for j, v in enumerate(self.t[i]):
+                    if v:
+                        obj[j] -= f * v
+        self.obj = obj
+
+    def maximize(self):
+        t, basis, obj = self.t, self.basis, self.obj
+        while True:
+            entering = next((j for j in range(self.ncols) if obj[j] > 0), -1)
+            if entering < 0:
+                return -obj[-1]
+            leaving = -1
+            bnum = bden = 0
+            for i in range(len(t)):
+                piv = t[i][entering]
+                if piv > 0:
+                    rhs = t[i][-1]
+                    if leaving < 0:
+                        leaving, bnum, bden = i, rhs, piv
+                    else:
+                        cmp = rhs * bden - bnum * piv
+                        if cmp < 0 or (cmp == 0 and basis[i] < basis[leaving]):
+                            leaving, bnum, bden = i, rhs, piv
+            if leaving < 0:
+                raise ArithmeticError("unbounded objective in simplex phase")
+            self.pivot(leaving, entering)
+
+    def pivot(self, row, col):
+        t = self.t
+        prow = t[row]
+        if prow[col] < 0:
+            if prow[-1] != 0:
+                raise InvariantViolation("negative pivot on a row with nonzero rhs")
+            prow = [-x for x in prow]
+            t[row] = prow
+        pv = prow[col]
+        for i in range(len(t)):
+            ri = t[i]
+            f = ri[col]
+            if i == row or not f:
+                continue
+            for j in range(len(ri)):
+                ri[j] = pv * ri[j] - f * prow[j]
+            g = 0
+            for v in ri:
+                g = gcd(g, v)
+            if g > 1:
+                for j in range(len(ri)):
+                    ri[j] //= g
+        f = self.obj[col]
+        if f:
+            fq = f / pv
+            for j, v in enumerate(prow):
+                self.obj[j] -= fq * v
+        self.basis[row] = col
+
+    def solution(self):
+        out = [Q(0)] * self.ncols
+        for i, b in enumerate(self.basis):
+            out[b] = Q(self.t[i][-1], self.t[i][b])
+        return out
+
+
+def reference_strict_feasible(sys):
+    """strict_feasible as a two-phase simplex over _ReferenceSimplex, with the
+    same tableau layout and pivot rule, and the slack summed in Fractions."""
+    dim = sys.dimension
+    nx = 2 * dim + 1
+    t_col = 2 * dim
+    raw = []
+    for a, b in sys.equalities:
+        raw.append(([*a, *(-c for c in a), Q(0)], b, "eq"))
+    for a, b in sys.weak:
+        raw.append(([*a, *(-c for c in a), Q(0)], b, "le"))
+    for a, b in sys.strict:
+        raw.append(([*a, *(-c for c in a), Q(1)], b, "le"))
+    raw.append(([Q(0)] * (2 * dim) + [Q(1)], Q(1), "le"))
+
+    nslack = sum(1 for r in raw if r[2] == "le")
+    need_art = [kind == "eq" or rhs < 0 for _, rhs, kind in raw]
+    nart = sum(need_art)
+    ncols = nx + nslack + nart
+    rows = []
+    basis = []
+    si = ai = 0
+    for idx, (coef, rhs, kind) in enumerate(raw):
+        line, scale = _reference_clear_denominators(coef + [rhs])
+        rhs_i = line.pop()
+        line += [0] * (nslack + nart)
+        slack_col = None
+        if kind == "le":
+            line[nx + si] = scale
+            slack_col = nx + si
+            si += 1
+        if rhs_i < 0:
+            line = [-x for x in line]
+            rhs_i = -rhs_i
+        if need_art[idx]:
+            art_col = nx + nslack + ai
+            line[art_col] = 1
+            basis.append(art_col)
+            ai += 1
+        else:
+            basis.append(slack_col)
+        rows.append(line + [rhs_i])
+    tab = _ReferenceSimplex(rows, basis, ncols)
+
+    if nart:
+        phase1 = [Q(0)] * ncols
+        for j in range(nx + nslack, ncols):
+            phase1[j] = Q(-1)
+        tab.set_objective(phase1)
+        if tab.maximize() != 0:
+            return FeasibilityResult(False)
+        for i in range(len(tab.t)):
+            if tab.basis[i] >= nx + nslack:
+                col = next((j for j in range(nx + nslack) if tab.t[i][j] != 0), None)
+                if col is not None:
+                    tab.pivot(i, col)
+        live = [i for i in range(len(tab.t)) if tab.basis[i] < nx + nslack]
+        tab.t = [tab.t[i][: nx + nslack] + [tab.t[i][-1]] for i in live]
+        tab.basis = [tab.basis[i] for i in live]
+        tab.ncols = nx + nslack
+
+    phase2 = [Q(0)] * tab.ncols
+    phase2[t_col] = Q(1)
+    tab.set_objective(phase2)
+    topt = tab.maximize()
+    if topt <= 0:
+        return FeasibilityResult(False)
+    sol = tab.solution()
+    witness = tuple(sol[j] - sol[dim + j] for j in range(dim))
+    margins = [b - sum((ai_ * xi for ai_, xi in zip(a, witness)), Q(0))
+               for a, b in sys.strict]
+    slack = min(margins) if margins else topt
+    return FeasibilityResult(True, witness, slack)
 
 
 def fourier_motzkin_feasible(system) -> bool:

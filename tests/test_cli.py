@@ -102,6 +102,16 @@ class TestClassify:
     def test_bad_config(self, tmp_path):
         assert run_cli(["classify", "--m", "4", "--j", "1,1,1"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--e-bound", "--base-depth"])
+    def test_negative_bound_exit_2(self, flag, capsys):
+        argv = ["classify", "--m", "5", "--j", "2,1,1,1,1", "--base-depth", "2",
+                "--e-bound", "2"]
+        argv[argv.index(flag) + 1] = "-1"
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid config: {flag} must be non-negative, got -1\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["classify", "--m", "4", "--j", "2,1,1,1", "--base-depth", "2",

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricwedge.exactmath import (
     DimensionMismatch,
@@ -18,7 +20,15 @@ from toricwedge.exactmath import (
     strict_feasible,
     verify_result,
 )
-from oracles import cofactor_matrix, fourier_motzkin_feasible, grid_relint_intersection_2d
+from oracles import (
+    cofactor_matrix,
+    fourier_motzkin_feasible,
+    grid_relint_intersection_2d,
+    reference_kernel_basis,
+    reference_kernel_with_ones,
+    reference_rank,
+    reference_strict_feasible,
+)
 
 Q = Fraction
 
@@ -70,6 +80,18 @@ class TestKernelBasis:
                 assert m.mul(k).is_zero()
                 assert k.rank() == k.cols
 
+    def test_matches_fraction_reference(self):
+        rng = random.Random(13)
+        for _ in range(80):
+            rows = rng.randint(0, 5)
+            cols = rng.randint(1, 6)
+            entry = (lambda: Q(rng.randint(-6, 6), rng.randint(1, 4))) if rng.random() < 0.5 \
+                else (lambda: rng.randint(-3, 3))
+            m = QMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)],
+                                  cols=cols)
+            assert kernel_basis(m) == reference_kernel_basis(m)
+            assert m.rank() == reference_rank(m)
+
 
 class TestKernelWithOnes:
     def test_pentagon(self):
@@ -116,6 +138,100 @@ class TestKernelWithOnes:
             assert b.column(b.cols - 1) == (Q(1),) * cols
             assert b.rank() == b.cols == cols - q.rank()
 
+    def test_matches_greedy_reference(self):
+        rng = random.Random(19)
+        kernel_dims = set()
+        for _ in range(60):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(2, 7)
+            m = []
+            for _ in range(rows):
+                r = [rng.randint(-4, 4) for _ in range(cols - 1)]
+                r.append(-sum(r))
+                m.append(r)
+            q = QMatrix.from_rows(m)
+            b = kernel_with_ones(q)
+            assert b == reference_kernel_with_ones(q)
+            kernel_dims.add(b.cols)
+        assert 1 in kernel_dims and max(kernel_dims) >= 3
+
+
+def criterion_8_systems(seed=271828, trials=500):
+    """The random systems of acceptance criterion 8, from the same generator."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        dim = rng.randint(1, 5)
+        n_total = rng.randint(1, 10)
+        n_eq = rng.randint(0, min(2, n_total - 1)) if n_total > 1 else 0
+        n_strict = rng.randint(1, n_total - n_eq)
+        n_weak = n_total - n_eq - n_strict
+
+        def row():
+            return ([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-5, 5))
+
+        yield StrictLinearSystem.build(
+            dim,
+            equalities=[row() for _ in range(n_eq)],
+            weak=[row() for _ in range(n_weak)],
+            strict=[row() for _ in range(n_strict)],
+        )
+
+
+def rational_rows(dim, n):
+    coef = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return st.lists(st.tuples(st.lists(coef | st.integers(-4, 4), min_size=dim, max_size=dim),
+                              coef | st.integers(-5, 5)),
+                    max_size=n)
+
+
+@st.composite
+def linear_systems(draw):
+    dim = draw(st.integers(1, 4))
+    return StrictLinearSystem.build(
+        dim,
+        equalities=draw(rational_rows(dim, 2)),
+        weak=draw(rational_rows(dim, 3)),
+        strict=draw(rational_rows(dim, 5)),
+    )
+
+
+class TestAgainstReferenceEngine:
+    """The integer-objective engine against the Fraction-objective one it
+    replaced: the whole result, witness and slack included, must be equal."""
+
+    def test_criterion_8_systems(self):
+        feasible = 0
+        for sys in criterion_8_systems():
+            res = strict_feasible(sys)
+            assert res == reference_strict_feasible(sys)
+            feasible += res.feasible
+        assert 50 < feasible < 450
+
+    def test_fraction_coefficients(self):
+        rng = random.Random(41)
+
+        def q():
+            return Q(rng.randint(-9, 9), rng.randint(1, 7))
+
+        feasible = 0
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            rows = lambda n: [([q() for _ in range(dim)], q()) for _ in range(n)]
+            sys = StrictLinearSystem.build(
+                dim, rows(rng.randint(0, 1)), rows(rng.randint(0, 3)), rows(rng.randint(1, 5)))
+            res = strict_feasible(sys)
+            assert res == reference_strict_feasible(sys)
+            assert verify_result(sys, res)
+            feasible += res.feasible
+        assert 20 < feasible < 180
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_systems())
+    def test_hypothesis_systems(self, sys):
+        res = strict_feasible(sys)
+        assert res == reference_strict_feasible(sys)
+        assert verify_result(sys, res)
+
 
 class TestStrictFeasible:
     def test_open_interval(self):
@@ -155,6 +271,12 @@ class TestStrictFeasible:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             StrictLinearSystem.build(2, strict=[([1], 0)])
+
+    def test_integer_entries_stay_integers(self):
+        sys = StrictLinearSystem.build(2, strict=[([1, Q(1, 2)], 3), ([Q(4, 2), -1], 2.5)])
+        (a0, b0), (a1, b1) = sys.strict
+        assert [type(x) for x in (*a0, b0)] == [int, Fraction, int]
+        assert [type(x) for x in (*a1, b1)] == [Fraction, int, Fraction]
 
     def test_deterministic(self):
         sys = StrictLinearSystem.build(

@@ -30,6 +30,10 @@ INPUTS = {"pentagon": PENTAGON, "ten_ray_fan": TEN_RAY_FAN, "wedge_matrix": WEDG
 GOLDEN_CLASSIFY = {
     "2,1,1,1,1": "942971ff8840141c2eef5f3ac3ff0cba4eefa7c1d835a5e9acc46b923d32a5b5",
     "2,1,2,1,1": "533ed49bb7b80d0e7f67bc9506aa7379c375487099387717b22ab85667e8055d",
+    # a colour with three copies (17 classes) and two adjacent wedged colours
+    # (16 classes), recorded before the integer objective row of the simplex
+    "3,1,1,1,1": "f5cffc120661c1093150b6a18cdb7517fb3ad463c81641c6600bda086bf4e3b5",
+    "2,2,1,1,1": "8c911db48d2a9fc93f85cd76d6a3f824400a4e43c6870ac2b20e56cee8e3bc95",
 }
 GOLDEN_INPUT = {
     ("check", "pentagon"): "a545d08f35873129fb9d3dd4b0c4a2ee5caff1452317bf107b12eb477ec30940",

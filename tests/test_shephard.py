@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from toricwedge import shephard
 from toricwedge.exactmath import QMatrix, relint_intersection
 from toricwedge.planefan import (
     NoOppositeRay,
@@ -20,6 +21,7 @@ from toricwedge.shephard import (
     RadonData,
     ShephardDiagram,
     SingularInput,
+    certify,
     coface_indices,
     h_value,
     is_strongly_polytopal,
@@ -248,6 +250,25 @@ class TestOracles:
             ok2, c2 = support_function_polytopal(mat)
             assert ok1 and ok2
             assert c1.point is not None and c2.heights is not None
+
+    def test_certify_validates_once(self, monkeypatch):
+        calls = []
+        real = shephard.check_nonsingular
+        monkeypatch.setattr(shephard, "check_nonsingular",
+                            lambda *args: calls.append(args) or real(*args))
+        shephard._validated.cache_clear()
+        for e in (-2, 1):
+            mat = assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e))
+            verdict, c1, c2 = certify(mat)
+            assert len(calls) == (1 if e == -2 else 2)
+            assert verdict == "projective"
+            assert (c1, c2) == (is_strongly_polytopal(mat)[1], support_function_polytopal(mat)[1])
+
+    def test_certify_raises_like_the_oracles(self):
+        with pytest.raises(SingularInput):
+            certify(CharMatrix(((1, 1), (2, 1), (3, 1)), ((1, 0, -1), (0, 1, -2))))
+        with pytest.raises(NotComplete):
+            certify(CharMatrix(((1, 1), (2, 1), (3, 1)), ((1, 0, -1), (0, 1, 1))))
 
 
 class TestRadon:
