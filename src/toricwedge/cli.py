@@ -28,6 +28,7 @@ from .shephard import (
     NotComplete,
     SingularInput,
     _fan_data,
+    _validated,
     certify,
     coface_indices,
     s_sigma,
@@ -52,8 +53,8 @@ EXIT_DISAGREEMENT = 3
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as "p" or "p/q"; both are already in lowest terms."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _label_str(lab) -> str:
@@ -174,8 +175,9 @@ def cmd_reduce(args) -> int:
 def cmd_shephard(args) -> int:
     try:
         obj = load_input(args.infile)
-        diagram = shephard_diagram(obj)
-        _, _, facets = _fan_data(obj)
+        cx = _validated(obj, None)
+        diagram = shephard_diagram(obj, cx)
+        _, _, facets = _fan_data(obj, cx)
         cert = s_sigma(diagram, facets)
     except (FanError, InvalidPuzzle, SingularInput, NotComplete, ValueError,
             KeyError, json.JSONDecodeError, OSError) as e:

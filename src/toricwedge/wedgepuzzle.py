@@ -41,10 +41,6 @@ class LabelMismatch(ValueError):
     pass
 
 
-class NotASquare(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class WedgeSignature:
     m: int
@@ -233,46 +229,6 @@ def gj_edges(sig: WedgeSignature):
                 yield a, b
 
 
-def gj_squares(sig: WedgeSignature):
-    """2-faces of the simplex product: one edge in each of two distinct colors.
-
-    Yields (colors, corners) with corners ordered (base, +i, +t, ++)."""
-    m, J = sig.m, sig.J
-    wedged = [i for i in range(m) if J[i] >= 2]
-    for i, t in itertools.combinations(wedged, 2):
-        rest = [x for x in range(m) if x not in (i, t)]
-        for gamma in itertools.product(*[range(1, J[x] + 1) for x in rest]):
-            fixed = dict(zip(rest, gamma))
-            for a, a2 in itertools.combinations(range(1, J[i] + 1), 2):
-                for b, b2 in itertools.combinations(range(1, J[t] + 1), 2):
-                    def vert(ci, ct):
-                        v = [0] * m
-                        for x, g in fixed.items():
-                            v[x] = g
-                        v[i], v[t] = ci, ct
-                        return tuple(v)
-                    yield (i + 1, t + 1), (vert(a, b), vert(a2, b), vert(a, b2), vert(a2, b2))
-
-
-def gj_cubes(sig: WedgeSignature):
-    m, J = sig.m, sig.J
-    wedged = [i for i in range(m) if J[i] >= 2]
-    for i, t, u in itertools.combinations(wedged, 3):
-        rest = [x for x in range(m) if x not in (i, t, u)]
-        for gamma in itertools.product(*[range(1, J[x] + 1) for x in rest]):
-            fixed = dict(zip(rest, gamma))
-            choices = [itertools.combinations(range(1, J[x] + 1), 2) for x in (i, t, u)]
-            for (a, a2), (b, b2), (c, c2) in itertools.product(*choices):
-                def vert(ci, ct, cu):
-                    v = [0] * m
-                    for x, g in fixed.items():
-                        v[x] = g
-                    v[i], v[t], v[u] = ci, ct, cu
-                    return tuple(v)
-                corners = [vert(x, y, z) for x in (a, a2) for y in (b, b2) for z in (c, c2)]
-                yield (i + 1, t + 1, u + 1), tuple(corners)
-
-
 def assemble_matrix(puzzle: Puzzle) -> CharMatrix:
     """Standard-form characteristic matrix over the wedged polygon.
 
@@ -387,45 +343,9 @@ def check_nonsingular(mat: CharMatrix, cx: WedgeComplex) -> bool:
     return True
 
 
-def realizable_square(fans, colors, params) -> bool:
-    """Operational realizability of a square: the 4-row standard form over the
-    double wedge must be non-singular and must project back onto all four
-    corner fans.  fans = (base, base shifted in color i, base shifted in
-    color t, both); params = (e, f) on the two base-incident edges."""
-    f00, f10, f01, f11 = fans
-    i, t = colors
-    e, f = params
-    if i == t:
-        raise NotASquare("square needs two distinct colors")
-    if is_edge(f00, f10, i) != e or is_edge(f00, f01, t) != f:
-        raise NotASquare("base-incident edges do not carry the stated parameters")
-    if is_edge(f10, f11, t) is None or is_edge(f01, f11, i) is None:
-        raise NotASquare("far edges are not edges")
-    m = f00.m
-    J = tuple(2 if x + 1 in (i, t) else 1 for x in range(m))
-    sig = WedgeSignature(m, J)
-    assignment = {}
-    for alpha in gj_vertices(sig):
-        ci = alpha[i - 1]
-        ct = alpha[t - 1]
-        assignment[alpha] = (f00, f10, f01, f11)[(ci - 1) + 2 * (ct - 1)]
-    try:
-        mat = assemble_matrix(Puzzle(sig, assignment))
-    except InvalidPuzzle:
-        return False
-    if not check_nonsingular(mat, build_complex(sig)):
-        return False
-    for alpha in gj_vertices(sig):
-        ci = alpha[i - 1]
-        ct = alpha[t - 1]
-        want = (f00, f10, f01, f11)[(ci - 1) + 2 * (ct - 1)]
-        if project_to_vertex(mat, alpha) != want:
-            return False
-    return True
-
-
 def validate_puzzle(p: Puzzle) -> bool:
-    """Edge color-consistency plus realizability of every square of G(J)."""
+    """Edge color-consistency: every vertex of G(J) carries a fan and every
+    color-i edge is a shift in color i."""
     sig = p.sig
     for a in gj_vertices(sig):
         if a not in p.assignment:
@@ -433,23 +353,26 @@ def validate_puzzle(p: Puzzle) -> bool:
     for a, b in gj_edges(sig):
         if p.edge_parameter(a, b) is None:
             return False
-    for (i, t), (c00, c10, c01, c11) in gj_squares(sig):
-        f00 = p.assignment[c00]
-        e = is_edge(f00, p.assignment[c10], i)
-        f = is_edge(f00, p.assignment[c01], t)
-        try:
-            ok = realizable_square(
-                (f00, p.assignment[c10], p.assignment[c01], p.assignment[c11]),
-                (i, t), (e, f))
-        except NotASquare:
-            return False
-        if not ok:
-            return False
     return True
 
 
-def is_irreducible(p: Puzzle) -> bool:
-    return all(p.assignment[a] != p.assignment[b] for a, b in gj_edges(p.sig))
+def is_realizable(p: Puzzle) -> bool:
+    """Whether the standard-form matrix of an edge-valid puzzle projects onto
+    the assigned fan at every vertex of G(J).
+
+    assemble_matrix takes the row of each base-incident vertex from that
+    vertex's own edge parameter, so the base and its neighbours are
+    reproduced by construction; only vertices that differ from the base in
+    two or more colors are projected.  Realizability is invariant under the
+    relabelings and the basis change of the canonical key, so one
+    representative decides it for its whole class.
+    """
+    mat = assemble_matrix(p)
+    for alpha in gj_vertices(p.sig):
+        if sum(k > 1 for k in alpha) >= 2 and \
+                project_to_vertex(mat, alpha) != p.assignment[alpha]:
+            return False
+    return True
 
 
 def _dihedral_maps(m):
@@ -560,6 +483,23 @@ def puzzle_canonical_key(p: Puzzle):
     return best
 
 
+def shifted_assignment(sig: WedgeSignature, base: PlaneFan, offsets) -> dict:
+    """The fan at every vertex alpha of G(J): the base shifted, in color
+    order, by offsets[i - 1][alpha_i - 2] in each color i with alpha_i > 1.
+
+    Raises NoOppositeRay when a nonzero shift meets a fan without a ray
+    opposite to its color.
+    """
+    assignment = {}
+    for alpha in gj_vertices(sig):
+        fan = base
+        for i, k in enumerate(alpha, start=1):
+            if k > 1 and offsets[i - 1][k - 2]:
+                fan = shift(fan, i, offsets[i - 1][k - 2])
+        assignment[alpha] = fan
+    return assignment
+
+
 def enumerate_puzzles(sig: WedgeSignature, base_depth: int, e_bound: int) -> list[Puzzle]:
     """All valid puzzles with the base fan drawn from enumerate_fans(m,
     base_depth) and base-incident edge parameters bounded by e_bound, up to
@@ -577,7 +517,9 @@ def enumerate_puzzles_keyed(sig: WedgeSignature, base_depth: int, e_bound: int):
     a given base the lexicographically first offset tuple of a class is
     sorted within each color, and the multisets come in lexicographic order,
     so the representative kept for each key is the one the ordered tuples
-    would give first.
+    would give first.  Every candidate gets the edge check; realizability,
+    a property of the whole class, is tested only on the candidate that
+    would become a new key's representative.
     """
     m, J = sig.m, sig.J
     out = {}
@@ -594,27 +536,14 @@ def enumerate_puzzles_keyed(sig: WedgeSignature, base_depth: int, e_bound: int):
                 per_color.append(list(itertools.combinations_with_replacement(
                     rng, J[i - 1] - 1)))
         for combo in itertools.product(*per_color):
-            assignment = {}
-            ok = True
-            for alpha in gj_vertices(sig):
-                fan = base
-                try:
-                    for i in range(1, m + 1):
-                        if alpha[i - 1] > 1:
-                            e = combo[i - 1][alpha[i - 1] - 2]
-                            if e:
-                                fan = shift(fan, i, e)
-                except NoOppositeRay:
-                    ok = False
-                    break
-                assignment[alpha] = fan
-            if not ok:
+            try:
+                puzzle = Puzzle(sig, shifted_assignment(sig, base, combo))
+            except NoOppositeRay:
                 continue
-            puzzle = Puzzle(sig, assignment)
             if not validate_puzzle(puzzle):
                 continue
             key = puzzle_canonical_key(puzzle)
-            if key not in out:
+            if key not in out and is_realizable(puzzle):
                 out[key] = puzzle
     return [(k, out[k]) for k in sorted(out)]
 
@@ -677,13 +606,6 @@ def puzzle_from_dict(data: dict) -> Puzzle:
         i = int(edge["color"])
         k = b[i - 1]
         params[(i, k)] = int(edge["e"])
-    assignment = {}
-    for alpha in gj_vertices(sig):
-        fan = base
-        for i in range(1, sig.m + 1):
-            if alpha[i - 1] > 1:
-                e = params.get((i, alpha[i - 1]), 0)
-                if e:
-                    fan = shift(fan, i, e)
-        assignment[alpha] = fan
-    return Puzzle(sig, assignment)
+    offsets = [[params.get((i, k), 0) for k in range(2, sig.J[i - 1] + 1)]
+               for i in range(1, sig.m + 1)]
+    return Puzzle(sig, shifted_assignment(sig, base, offsets))

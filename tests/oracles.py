@@ -8,22 +8,32 @@ The feasibility engine is checked against the earlier simplex whose
 objective row was kept in Fractions, kernel_basis against a Fraction
 row reduction, and kernel_with_ones against the greedy rank loop it
 replaced.  The puzzle classes are checked against a canonical key that tries every
-copy permutation and an enumeration over every ordered offset tuple.
+copy permutation, an enumeration over every ordered offset tuple, and the
+offset-multiset enumeration that checked every square of G(J) of every
+candidate for realizability, where the library checks each class once.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 from toricwedge.exactmath import FeasibilityResult, InvariantViolation, QMatrix, integer_det
 from toricwedge.planefan import NoOppositeRay, enumerate_fans, opposite_position
 from toricwedge.wedgepuzzle import (
+    InvalidPuzzle,
     Puzzle,
+    WedgeSignature,
     _dihedral_maps,
     _transform_fan,
+    assemble_matrix,
+    build_complex,
+    check_nonsingular,
+    gj_edges,
     gj_vertices,
+    is_edge,
+    project_to_vertex,
+    puzzle_canonical_key,
     shift,
-    validate_puzzle,
 )
 
 Q = Fraction
@@ -447,9 +457,10 @@ def permutation_canonical_key(p):
 def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
     """Classes of valid puzzles from every ordered tuple of offsets per color.
 
-    Each candidate is keyed by permutation_canonical_key, and the first
-    candidate met for a key is its representative, in the same loop order as
-    the library (bases, then offset tuples lexicographically).
+    Each candidate is validated by reference_validate_puzzle and keyed by
+    permutation_canonical_key, and the first valid candidate met for a key
+    is its representative, in the same loop order as the library (bases,
+    then offset tuples lexicographically).
     """
     m, J = sig.m, sig.J
     out = {}
@@ -475,9 +486,158 @@ def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
             except NoOppositeRay:
                 continue
             puzzle = Puzzle(sig, assignment)
-            if not validate_puzzle(puzzle):
+            if not reference_validate_puzzle(puzzle):
                 continue
             key = permutation_canonical_key(puzzle)
             if key not in out:
                 out[key] = puzzle
     return [(k, out[k]) for k in sorted(out)]
+
+
+def multiset_enumerate_puzzles_keyed(sig, base_depth, e_bound):
+    """Classes of valid puzzles from every multiset of offsets per color,
+    each candidate validated square by square by reference_validate_puzzle
+    before it is keyed: the library's loop before realizability moved to one
+    test per class."""
+    m, J = sig.m, sig.J
+    out = {}
+    for base in enumerate_fans(m, base_depth):
+        per_color = []
+        for i in range(1, m + 1):
+            if J[i - 1] == 1:
+                per_color.append([()])
+            elif opposite_position(base, i - 1) is None:
+                per_color.append([(0,) * (J[i - 1] - 1)])
+            else:
+                rng = range(-e_bound, e_bound + 1)
+                per_color.append(list(combinations_with_replacement(rng, J[i - 1] - 1)))
+        for combo in product(*per_color):
+            assignment = {}
+            try:
+                for alpha in gj_vertices(sig):
+                    fan = base
+                    for i in range(1, m + 1):
+                        if alpha[i - 1] > 1 and combo[i - 1][alpha[i - 1] - 2]:
+                            fan = shift(fan, i, combo[i - 1][alpha[i - 1] - 2])
+                    assignment[alpha] = fan
+            except NoOppositeRay:
+                continue
+            puzzle = Puzzle(sig, assignment)
+            if not reference_validate_puzzle(puzzle):
+                continue
+            key = puzzle_canonical_key(puzzle)
+            if key not in out:
+                out[key] = puzzle
+    return [(k, out[k]) for k in sorted(out)]
+
+
+class NotASquare(ValueError):
+    pass
+
+
+def gj_squares(sig):
+    """2-faces of the simplex product: one edge in each of two distinct colors.
+
+    Yields (colors, corners) with corners ordered (base, +i, +t, ++)."""
+    m, J = sig.m, sig.J
+    wedged = [i for i in range(m) if J[i] >= 2]
+    for i, t in combinations(wedged, 2):
+        rest = [x for x in range(m) if x not in (i, t)]
+        for gamma in product(*[range(1, J[x] + 1) for x in rest]):
+            fixed = dict(zip(rest, gamma))
+            for a, a2 in combinations(range(1, J[i] + 1), 2):
+                for b, b2 in combinations(range(1, J[t] + 1), 2):
+                    def vert(ci, ct):
+                        v = [0] * m
+                        for x, g in fixed.items():
+                            v[x] = g
+                        v[i], v[t] = ci, ct
+                        return tuple(v)
+                    yield (i + 1, t + 1), (vert(a, b), vert(a2, b), vert(a, b2), vert(a2, b2))
+
+
+def gj_cubes(sig):
+    """3-faces of the simplex product: one edge in each of three distinct
+    colors.  Yields (colors, corners) with the 8 corners in product order."""
+    m, J = sig.m, sig.J
+    wedged = [i for i in range(m) if J[i] >= 2]
+    for i, t, u in combinations(wedged, 3):
+        rest = [x for x in range(m) if x not in (i, t, u)]
+        for gamma in product(*[range(1, J[x] + 1) for x in rest]):
+            fixed = dict(zip(rest, gamma))
+            choices = [combinations(range(1, J[x] + 1), 2) for x in (i, t, u)]
+            for (a, a2), (b, b2), (c, c2) in product(*choices):
+                def vert(ci, ct, cu):
+                    v = [0] * m
+                    for x, g in fixed.items():
+                        v[x] = g
+                    v[i], v[t], v[u] = ci, ct, cu
+                    return tuple(v)
+                corners = [vert(x, y, z) for x in (a, a2) for y in (b, b2) for z in (c, c2)]
+                yield (i + 1, t + 1, u + 1), tuple(corners)
+
+
+def is_irreducible(p):
+    """No edge of G(J) joins two equal fans."""
+    return all(p.assignment[a] != p.assignment[b] for a, b in gj_edges(p.sig))
+
+
+def realizable_square(fans, colors, params) -> bool:
+    """Operational realizability of a square: the 4-row standard form over the
+    double wedge must be non-singular and must project back onto all four
+    corner fans.  fans = (base, base shifted in color i, base shifted in
+    color t, both); params = (e, f) on the two base-incident edges."""
+    f00, f10, f01, f11 = fans
+    i, t = colors
+    e, f = params
+    if i == t:
+        raise NotASquare("square needs two distinct colors")
+    if is_edge(f00, f10, i) != e or is_edge(f00, f01, t) != f:
+        raise NotASquare("base-incident edges do not carry the stated parameters")
+    if is_edge(f10, f11, t) is None or is_edge(f01, f11, i) is None:
+        raise NotASquare("far edges are not edges")
+    m = f00.m
+    J = tuple(2 if x + 1 in (i, t) else 1 for x in range(m))
+    sig = WedgeSignature(m, J)
+    assignment = {}
+    for alpha in gj_vertices(sig):
+        ci = alpha[i - 1]
+        ct = alpha[t - 1]
+        assignment[alpha] = (f00, f10, f01, f11)[(ci - 1) + 2 * (ct - 1)]
+    try:
+        mat = assemble_matrix(Puzzle(sig, assignment))
+    except InvalidPuzzle:
+        return False
+    if not check_nonsingular(mat, build_complex(sig)):
+        return False
+    for alpha in gj_vertices(sig):
+        ci = alpha[i - 1]
+        ct = alpha[t - 1]
+        want = (f00, f10, f01, f11)[(ci - 1) + 2 * (ct - 1)]
+        if project_to_vertex(mat, alpha) != want:
+            return False
+    return True
+
+
+def reference_validate_puzzle(p) -> bool:
+    """Edge color-consistency plus realizability of every square of G(J)."""
+    sig = p.sig
+    for a in gj_vertices(sig):
+        if a not in p.assignment:
+            return False
+    for a, b in gj_edges(sig):
+        if p.edge_parameter(a, b) is None:
+            return False
+    for (i, t), (c00, c10, c01, c11) in gj_squares(sig):
+        f00 = p.assignment[c00]
+        e = is_edge(f00, p.assignment[c10], i)
+        f = is_edge(f00, p.assignment[c01], t)
+        try:
+            ok = realizable_square(
+                (f00, p.assignment[c10], p.assignment[c01], p.assignment[c11]),
+                (i, t), (e, f))
+        except NotASquare:
+            return False
+        if not ok:
+            return False
+    return True

@@ -4,6 +4,8 @@ One test per criterion, each printing a PASS/FAIL line (run with -s to see
 them on a green run).  Shared corpora are built once per session: the plane
 fan corpus (criteria 2, 3, 9) and the full wedge-classification sweep over
 m in {4,5,6}, sum(J) <= m+3, base depth 3, shift bound 3 (criteria 4-7).
+One more slow test compares the sweep's classes with the enumeration that
+checked every square of every candidate.
 
 Certification verdicts are computed once per equivalence class across
 signatures (classes over relabeled signatures share canonical keys); a
@@ -54,14 +56,18 @@ from toricwedge.wedgepuzzle import (
     build_complex,
     check_nonsingular,
     enumerate_puzzles_keyed,
-    gj_cubes,
-    gj_squares,
     gj_vertices,
     is_edge,
     project_to_vertex,
+    puzzle_to_dict,
     signature,
 )
-from oracles import fourier_motzkin_feasible
+from oracles import (
+    fourier_motzkin_feasible,
+    gj_cubes,
+    gj_squares,
+    multiset_enumerate_puzzles_keyed,
+)
 
 
 def report(num, ok, detail):
@@ -325,6 +331,27 @@ def test_criterion_7_projection_round_trip(sweep):
                     f"projection mismatch at {alpha} over {sig}"
                 n += 1
     report(7, n > 0, f"{n} projections reproduce the assigned fans exactly")
+
+
+# signatures with two or more wedged colours, compared at shift bound 5 too
+WIDE_BOUND_SIGNATURES = [(4, (2, 2, 2, 2)), (5, (2, 1, 2, 1, 1)), (5, (2, 2, 1, 1, 1)),
+                         (6, (2, 1, 1, 2, 1, 1)), (4, (3, 1, 3, 1))]
+
+
+@pytest.mark.slow
+def test_sweep_classes_match_square_reference(sweep):
+    """Checking realizability once per class keeps every class, representative
+    and order that checking every square of every candidate gave."""
+    per_sig, _ = sweep
+    cases = [(sig, 3, [(r["key"], r["puzzle"]) for r in records])
+             for sig, records in per_sig.items()]
+    cases += [(signature(m, J), 5, enumerate_puzzles_keyed(signature(m, J), 3, 5))
+              for m, J in WIDE_BOUND_SIGNATURES]
+    for sig, e_bound, got in cases:
+        want = multiset_enumerate_puzzles_keyed(sig, 3, e_bound)
+        assert [k for k, _ in got] == [k for k, _ in want], f"keys differ for {sig}"
+        assert [puzzle_to_dict(p) for _, p in got] == \
+            [puzzle_to_dict(p) for _, p in want], f"representatives differ for {sig}"
 
 
 def test_criterion_8_lp_fourier_motzkin_agreement():

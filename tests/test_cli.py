@@ -1,14 +1,20 @@
+import copy
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toricwedge
 from toricwedge.cli import main
+from toricwedge.planefan import enumerate_fans
+from toricwedge.wedgepuzzle import assemble_matrix, enumerate_puzzles, matrix_to_dict, signature
 
 SRC = str(Path(toricwedge.__file__).resolve().parents[1])
 
@@ -31,6 +37,9 @@ def write_fan(tmp_path, name, rays):
 
 
 PENTAGON = [[1, 0], [0, 1], [-1, 1], [-1, 0], [2, -1]]
+# every facet minor is +-1 except det(v_4, v_1) = 2
+SINGULAR_MATRIX = {"n": 2, "cols": [{"label": "1_1", "v": [1, 0]}, {"label": "2_1", "v": [0, 1]},
+                                    {"label": "3_1", "v": [-1, 1]}, {"label": "4_1", "v": [1, -2]}]}
 
 
 class TestCheck:
@@ -185,6 +194,15 @@ class TestShephard:
         res = json.loads(capsys.readouterr().out)
         assert res["ambient_dim"] == 2  # m - 3
 
+    def test_singular_matrix_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(SINGULAR_MATRIX))
+        for command in ("check", "shephard"):
+            assert run_cli([command, "--in", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "invalid input: some facet minor is not +-1\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -222,6 +240,53 @@ class TestEntryPoint:
         proc = run_python("-O", "-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised: rotation identity failed on a valid fan\n"
+
+
+SMALL = st.integers(-3, 3)
+DRAWN_FANS = st.lists(st.lists(SMALL, min_size=2, max_size=2), min_size=3, max_size=6)
+
+
+@st.composite
+def drawn_matrices(draw):
+    """A labeled matrix over some P_m(J), of the facet size or of another."""
+    m = draw(st.integers(3, 5))
+    J = draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+    n = draw(st.one_of(st.just(sum(J) - m + 2), st.integers(1, 3)))
+    return {"n": n, "cols": [{"label": f"{i}_{k}", "v": draw(st.lists(SMALL, min_size=n, max_size=n))}
+                             for i in range(1, m + 1) for k in range(1, J[i - 1] + 1)]}
+
+
+VALID_INPUTS = [{"rays": [list(v) for v in f.rays]} for m in (3, 4, 5, 6)
+                for f in enumerate_fans(m, 1)]
+VALID_INPUTS += [matrix_to_dict(assemble_matrix(p)) for J in ((2, 1, 1, 1), (2, 1, 2, 1, 1))
+                 for p in enumerate_puzzles(signature(len(J), J), 1, 1)]
+
+
+@st.composite
+def perturbed_valid_inputs(draw):
+    """A valid fan or wedge matrix, with one entry possibly redrawn."""
+    data = copy.deepcopy(draw(st.sampled_from(VALID_INPUTS)))
+    vectors = data["rays"] if "rays" in data else [c["v"] for c in data["cols"]]
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(vectors))
+        v[draw(st.integers(0, len(v) - 1))] = draw(SMALL)
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.one_of(DRAWN_FANS.map(lambda rays: {"rays": rays}), drawn_matrices(),
+                      perturbed_valid_inputs()))
+@example(data=SINGULAR_MATRIX)
+def test_drawn_inputs_keep_exit_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        codes = {command: main([command, "--in", path, "--out", os.path.join(tmp, "out.json")])
+                 for command in ("check", "shephard", "reduce")}
+    assert set(codes.values()) <= {0, 1, 2, 3}
+    if codes["check"] == 2:
+        assert codes["shephard"] == 2
 
 
 MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "cols": []}',

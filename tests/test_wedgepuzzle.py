@@ -26,12 +26,9 @@ from toricwedge.wedgepuzzle import (
     enumerate_puzzles,
     enumerate_puzzles_keyed,
     fan_from_matrix,
-    gj_cubes,
-    gj_edges,
-    gj_squares,
     gj_vertices,
     is_edge,
-    is_irreducible,
+    is_realizable,
     matrix_from_dict,
     matrix_from_fan,
     matrix_to_dict,
@@ -40,12 +37,18 @@ from toricwedge.wedgepuzzle import (
     puzzle_from_dict,
     puzzle_canonical_key,
     puzzle_to_dict,
-    realizable_square,
     shift,
     signature,
     validate_puzzle,
 )
-from oracles import ordered_enumerate_puzzles_keyed, permutation_canonical_key
+from oracles import (
+    gj_cubes,
+    is_irreducible,
+    ordered_enumerate_puzzles_keyed,
+    permutation_canonical_key,
+    realizable_square,
+    reference_validate_puzzle,
+)
 
 
 def pentagon(d):
@@ -323,12 +326,12 @@ class TestPuzzles:
     def test_constant_puzzle_valid_reducible(self):
         sig = signature(5, (2, 2, 1, 1, 1))
         p = constant_puzzle(sig, pentagon(2))
-        assert validate_puzzle(p)
+        assert validate_puzzle(p) and is_realizable(p)
         assert not is_irreducible(p)
 
     def test_single_edge_irreducible(self):
         p = single_wedge_puzzle(pentagon(2), 1, 1)
-        assert validate_puzzle(p)
+        assert validate_puzzle(p) and is_realizable(p)
         assert is_irreducible(p)
         mat = assemble_matrix(p)
         assert check_nonsingular(mat, build_complex(p.sig))
@@ -384,10 +387,27 @@ class TestPuzzles:
                         mat = assemble_matrix(p)
                     except InvalidPuzzle:
                         assert not validate_puzzle(p)
+                        assert not reference_validate_puzzle(p)
                         continue
-                    assert check_nonsingular(mat, build_complex(sig)) == validate_puzzle(p)
+                    valid = validate_puzzle(p) and is_realizable(p)
+                    assert valid == reference_validate_puzzle(p)
+                    assert check_nonsingular(mat, build_complex(sig)) == valid
                     checked += 1
         assert checked > 20
+
+    def test_realizability_checks_far_vertices(self):
+        # an irreducible puzzle shifts colors 1 and 3 along one opposite ray
+        # pair; the vertex (2,1,2,1,1) differs from the base in both colors,
+        # so no row of the matrix comes from it
+        sig = signature(5, (2, 1, 2, 1, 1))
+        p = next(p for p in enumerate_puzzles(sig, 1, 1) if is_irreducible(p))
+        far = (2, 1, 2, 1, 1)
+        assert is_realizable(p)
+        q = Puzzle(sig, {**p.assignment, far: p.base})
+        assert q.assignment[far] != p.assignment[far]
+        assert validate(q.assignment[far].rays) == q.assignment[far]
+        assert assemble_matrix(q) == assemble_matrix(p)
+        assert not is_realizable(q)
 
 
 class TestEnumerate:
@@ -420,7 +440,8 @@ class TestEnumerate:
     def test_every_output_valid(self):
         for sig in (signature(4, (2, 1, 1, 1)), signature(4, (2, 2, 1, 1))):
             for p in enumerate_puzzles(sig, 2, 2):
-                assert validate_puzzle(p)
+                assert validate_puzzle(p) and is_realizable(p)
+                assert reference_validate_puzzle(p)
                 mat = assemble_matrix(p)
                 assert check_nonsingular(mat, build_complex(sig))
 
@@ -441,13 +462,19 @@ class TestEnumerate:
         assert [p.assignment for p in a] == [p.assignment for p in b]
 
 
-# signatures with j_i = 3 and 4 and with two and three wedged colours
+# signatures with j_i = 3 and 4 and with two and three wedged colours, and
+# those with two wedged colours, adjacent or opposite, whose squares the
+# reference validity checks one by one
 KEYED_SIGNATURES = [
     (3, (2, 2, 1)),
     (4, (2, 2, 2, 1)),
     (4, (3, 1, 2, 1)),
+    (4, (3, 1, 3, 1)),
+    (5, (2, 1, 2, 1, 1)),
+    (5, (2, 2, 1, 1, 1)),
     (5, (3, 3, 1, 1, 1)),
     (5, (4, 1, 1, 1, 1)),
+    (6, (2, 1, 1, 2, 1, 1)),
     (6, (2, 1, 2, 1, 2, 1)),
 ]
 
