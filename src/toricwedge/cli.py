@@ -117,11 +117,18 @@ def load_input(path: str):
     raise InvalidInput("input must contain 'rays' or 'cols'")
 
 
+class CannotWrite(OSError):
+    """The output file could not be written."""
+
+
 def _write(data: dict, path) -> None:
     text = json.dumps(data, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise CannotWrite(e) from e
     else:
         print(text)
 
@@ -196,15 +203,11 @@ def cmd_shephard(args) -> int:
     return 0
 
 
-def _certify(job):
-    sig_args, puzzle_dict = job
-    from .wedgepuzzle import puzzle_from_dict
-    puzzle = puzzle_from_dict(puzzle_dict)
-    cx = build_complex(puzzle.sig)
+def _certify(puzzle):
     mat = assemble_matrix(puzzle)
-    verdict, cert1, cert2 = certify(mat, cx)
+    verdict, cert1, cert2 = certify(mat, build_complex(puzzle.sig))
     return {
-        "puzzle": puzzle_dict,
+        "puzzle": puzzle_to_dict(puzzle),
         "matrix": matrix_to_dict(mat),
         "verdict": verdict,
         "certificate": certificate_to_dict(verdict, cert1, cert2),
@@ -222,14 +225,13 @@ def cmd_classify(args) -> int:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
     puzzles = enumerate_puzzles(sig, args.base_depth, args.e_bound)
-    jobs = [((sig.m, sig.J), puzzle_to_dict(p)) for p in puzzles]
     workers = args.workers
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(puzzles) > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_certify, jobs)
+            records = pool.map(_certify, puzzles)
     else:
-        records = [_certify(j) for j in jobs]
+        records = [_certify(p) for p in puzzles]
     n = len(records)
     n_proj = sum(1 for r in records if r["verdict"] == "projective")
     n_disagree = sum(1 for r in records if r["verdict"] == "oracle-disagreement")
@@ -285,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CannotWrite as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

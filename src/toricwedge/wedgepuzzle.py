@@ -1,10 +1,13 @@
 """Wedge complexes over polygons, characteristic matrices, shifts and puzzles.
 
 Vertices of the wedged polygon carry labels (i, k) with i in 1..m and copy
-index k in 1..j_i.  A puzzle assigns a plane fan to every vertex of the
-edge-colored graph G(J) (the 1-skeleton of a product of simplices, one
-simplex factor per polygon vertex); edges of color i connect fans that are
-equal or differ by a shift along the line through ray i and its opposite.
+index k in 1..j_i.  A puzzle is a base fan together with a shift offset for
+every extra copy: copy k of color i has offset o_i(k), with o_i(1) = 0.  The
+fan at a vertex alpha of the edge-colored graph G(J) (the 1-skeleton of a
+product of simplices, one simplex factor per polygon vertex) is the base
+shifted in each color i by o_i(alpha_i), and the puzzle is valid when every
+color-i edge alpha -> beta is the shift of the fan at alpha by
+o_i(beta_i) - o_i(alpha_i) along the line through ray i and its opposite.
 """
 
 from __future__ import annotations
@@ -12,8 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
 
 from .exactmath import InvariantViolation, integer_det
 from .planefan import (
@@ -23,10 +25,7 @@ from .planefan import (
     det2,
     enumerate_fans,
     opposite_position,
-    validate,
 )
-
-Label = "tuple[int, int]"
 
 
 class NotWedged(ValueError):
@@ -158,63 +157,19 @@ def shift(fan: PlaneFan, color: int, e: int) -> PlaneFan:
     return PlaneFan(tuple(rays))
 
 
-@lru_cache(maxsize=None)
-def is_edge(f1: PlaneFan, f2: PlaneFan, color: int) -> Optional[int]:
-    """The integer e with shift(f1, color, e) == f2, if any; 0 means equal."""
-    if f1.m != f2.m:
-        return None
-    if f1 == f2:
-        return 0
-    i = (color - 1) % f1.m
-    ell = opposite_position(f1, i)
-    if ell is None:
-        return None
-    vi = f1.rays[i]
-    b = (ell + 1) % f1.m
-    dx = f2.rays[b][0] - f1.rays[b][0]
-    dy = f2.rays[b][1] - f1.rays[b][1]
-    yp = det2(vi, f1.rays[b])
-    denom_x = -yp * vi[0]
-    denom_y = -yp * vi[1]
-    if denom_x != 0:
-        if dx % denom_x:
-            return None
-        e = dx // denom_x
-    elif denom_y != 0:
-        if dy % denom_y:
-            return None
-        e = dy // denom_y
-    else:
-        return None
-    if e == 0:
-        return None
-    try:
-        return e if shift(f1, color, e) == f2 else None
-    except NoOppositeRay:
-        return None
-
-
+@dataclass(frozen=True)
 class Puzzle:
-    """Assignment of plane fans to the vertices of G(J), all in one basis."""
+    """A base fan and the offsets of the extra copies: offsets[i - 1][k - 2]
+    is o_i(k), the shift in color i of copy k >= 2 against copy 1."""
 
-    def __init__(self, sig: WedgeSignature, assignment):
-        self.sig = sig
-        self.assignment = dict(assignment)
+    sig: WedgeSignature
+    base: PlaneFan
+    offsets: tuple[tuple[int, ...], ...]
 
-    @property
-    def base(self) -> PlaneFan:
-        return self.assignment[(1,) * self.sig.m]
-
-    def edge_parameter(self, a, b) -> Optional[int]:
-        color = next(i + 1 for i in range(self.sig.m) if a[i] != b[i])
-        return is_edge(self.assignment[a], self.assignment[b], color)
-
-    def __eq__(self, other):
-        return isinstance(other, Puzzle) and self.sig == other.sig \
-            and self.assignment == other.assignment
-
-    def __repr__(self):
-        return f"Puzzle(m={self.sig.m}, J={self.sig.J}, base={self.base.rays})"
+    @cached_property
+    def assignment(self) -> dict:
+        """The fan at every vertex of G(J), by shifted_assignment."""
+        return shifted_assignment(self.sig, self.base, self.offsets)
 
 
 def gj_vertices(sig: WedgeSignature):
@@ -222,11 +177,12 @@ def gj_vertices(sig: WedgeSignature):
 
 
 def gj_edges(sig: WedgeSignature):
+    """Every edge (color, a, b) of G(J), with a below b in that color."""
     for a in gj_vertices(sig):
         for i in range(sig.m):
             for k in range(a[i] + 1, sig.J[i] + 1):
                 b = a[:i] + (k,) + a[i + 1:]
-                yield a, b
+                yield i + 1, a, b
 
 
 def assemble_matrix(puzzle: Puzzle) -> CharMatrix:
@@ -234,7 +190,7 @@ def assemble_matrix(puzzle: Puzzle) -> CharMatrix:
 
     The top two rows carry the base fan on the first copies; every extra copy
     (i, k) contributes a row with -1 at (i,1), +1 at (i,k) and the shift
-    pattern of its base-incident edge on the lower-block columns.
+    pattern of its offset on the lower-block columns.
     """
     sig = puzzle.sig
     m, J = sig.m, sig.J
@@ -249,13 +205,8 @@ def assemble_matrix(puzzle: Puzzle) -> CharMatrix:
         top_x[col[(i, 1)]] = x
         top_y[col[(i, 1)]] = y
     rows = [top_x, top_y]
-    alpha0 = (1,) * m
     for i in range(1, m + 1):
-        for k in range(2, J[i - 1] + 1):
-            alpha = alpha0[:i - 1] + (k,) + alpha0[i:]
-            e = is_edge(base, puzzle.assignment[alpha], i)
-            if e is None:
-                raise InvalidPuzzle(f"no color-{i} edge between base and copy {k}")
+        for k, e in enumerate(puzzle.offsets[i - 1], start=2):
             row = [0] * d
             row[col[(i, 1)]] = -1
             row[col[(i, k)]] = 1
@@ -344,15 +295,18 @@ def check_nonsingular(mat: CharMatrix, cx: WedgeComplex) -> bool:
 
 
 def validate_puzzle(p: Puzzle) -> bool:
-    """Edge color-consistency: every vertex of G(J) carries a fan and every
-    color-i edge is a shift in color i."""
-    sig = p.sig
-    for a in gj_vertices(sig):
-        if a not in p.assignment:
-            return False
-    for a, b in gj_edges(sig):
-        if p.edge_parameter(a, b) is None:
-            return False
+    """Edge color-consistency: every color-i edge a -> b of G(J) is the shift
+    of the fan at a in color i by o_i(b_i) - o_i(a_i).  A nonzero shift that
+    meets a fan without a ray opposite to its color makes the puzzle invalid."""
+    steps = [(0,) + o for o in p.offsets]
+    try:
+        fans = p.assignment
+        for i, a, b in gj_edges(p.sig):
+            e = steps[i - 1][b[i - 1] - 1] - steps[i - 1][a[i - 1] - 1]
+            if shift(fans[a], i, e) != fans[b]:
+                return False
+    except NoOppositeRay:
+        return False
     return True
 
 
@@ -361,9 +315,9 @@ def is_realizable(p: Puzzle) -> bool:
     the assigned fan at every vertex of G(J).
 
     assemble_matrix takes the row of each base-incident vertex from that
-    vertex's own edge parameter, so the base and its neighbours are
-    reproduced by construction; only vertices that differ from the base in
-    two or more colors are projected.  Realizability is invariant under the
+    vertex's own offset, so the base and its neighbours are reproduced by
+    construction; only vertices that differ from the base in two or more
+    colors are projected.  Realizability is invariant under the
     relabelings and the basis change of the canonical key, so one
     representative decides it for its whole class.
     """
@@ -375,13 +329,14 @@ def is_realizable(p: Puzzle) -> bool:
     return True
 
 
+@lru_cache(maxsize=16)
 def _dihedral_maps(m):
     """Position maps new->old for the dihedral group, with a reflection flag."""
     maps = []
     for k in range(m):
         maps.append((tuple((p + k) % m for p in range(m)), False))
         maps.append((tuple((k - p) % m for p in range(m)), True))
-    return maps
+    return tuple(maps)
 
 
 def _transform_fan(fan: PlaneFan, pos_map, reflect: bool) -> PlaneFan:
@@ -502,8 +457,8 @@ def shifted_assignment(sig: WedgeSignature, base: PlaneFan, offsets) -> dict:
 
 def enumerate_puzzles(sig: WedgeSignature, base_depth: int, e_bound: int) -> list[Puzzle]:
     """All valid puzzles with the base fan drawn from enumerate_fans(m,
-    base_depth) and base-incident edge parameters bounded by e_bound, up to
-    simultaneous fan equivalence and G(J) symmetry."""
+    base_depth) and offsets bounded by e_bound, up to simultaneous fan
+    equivalence and G(J) symmetry."""
     return [p for _, p in enumerate_puzzles_keyed(sig, base_depth, e_bound)]
 
 
@@ -536,10 +491,7 @@ def enumerate_puzzles_keyed(sig: WedgeSignature, base_depth: int, e_bound: int):
                 per_color.append(list(itertools.combinations_with_replacement(
                     rng, J[i - 1] - 1)))
         for combo in itertools.product(*per_color):
-            try:
-                puzzle = Puzzle(sig, shifted_assignment(sig, base, combo))
-            except NoOppositeRay:
-                continue
+            puzzle = Puzzle(sig, base, combo)
             if not validate_puzzle(puzzle):
                 continue
             key = puzzle_canonical_key(puzzle)
@@ -578,34 +530,12 @@ def puzzle_to_dict(p: Puzzle) -> dict:
     edges = []
     alpha0 = (1,) * sig.m
     for i in range(1, sig.m + 1):
-        for k in range(2, sig.J[i - 1] + 1):
+        for k, e in enumerate(p.offsets[i - 1], start=2):
             alpha = alpha0[:i - 1] + (k,) + alpha0[i:]
-            edges.append({
-                "color": i,
-                "from": list(alpha0),
-                "to": list(alpha),
-                "e": p.edge_parameter(alpha0, alpha),
-            })
+            edges.append({"color": i, "from": list(alpha0), "to": list(alpha), "e": e})
     return {
         "m": sig.m,
         "J": list(sig.J),
         "base": {"rays": [[x, y] for x, y in p.base.rays]},
         "edges": edges,
     }
-
-
-def puzzle_from_dict(data: dict) -> Puzzle:
-    sig = WedgeSignature(int(data["m"]), tuple(int(j) for j in data["J"]))
-    base = validate(data["base"]["rays"])
-    params = {}
-    for edge in data.get("edges", []):
-        a = tuple(int(x) for x in edge["from"])
-        b = tuple(int(x) for x in edge["to"])
-        if a != (1,) * sig.m:
-            raise InvalidPuzzle("edge list must be rooted at the all-ones vertex")
-        i = int(edge["color"])
-        k = b[i - 1]
-        params[(i, k)] = int(edge["e"])
-    offsets = [[params.get((i, k), 0) for k in range(2, sig.J[i - 1] + 1)]
-               for i in range(1, sig.m + 1)]
-    return Puzzle(sig, shifted_assignment(sig, base, offsets))

@@ -11,17 +11,21 @@ replaced.  The puzzle classes are checked against a canonical key that tries eve
 copy permutation, an enumeration over every ordered offset tuple, and the
 offset-multiset enumeration that checked every square of G(J) of every
 candidate for realizability, where the library checks each class once.
+Edges are checked by is_edge, which solves for the shift between two fans
+where the library shifts by the known difference of two offsets, and
+AssignedPuzzle holds a fan at every vertex of G(J), so that tests can give
+the library assignments that no base and offsets produce.
 """
 
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
+from typing import NamedTuple
 
 from toricwedge.exactmath import FeasibilityResult, InvariantViolation, QMatrix, integer_det
-from toricwedge.planefan import NoOppositeRay, enumerate_fans, opposite_position
+from toricwedge.planefan import NoOppositeRay, PlaneFan, det2, enumerate_fans, opposite_position
 from toricwedge.wedgepuzzle import (
-    InvalidPuzzle,
-    Puzzle,
     WedgeSignature,
     _dihedral_maps,
     _transform_fan,
@@ -30,7 +34,6 @@ from toricwedge.wedgepuzzle import (
     check_nonsingular,
     gj_edges,
     gj_vertices,
-    is_edge,
     project_to_vertex,
     puzzle_canonical_key,
     shift,
@@ -454,16 +457,69 @@ def permutation_canonical_key(p):
     return best
 
 
-def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
-    """Classes of valid puzzles from every ordered tuple of offsets per color.
+@lru_cache(maxsize=None)
+def is_edge(f1: PlaneFan, f2: PlaneFan, color: int):
+    """The integer e with shift(f1, color, e) == f2, if any; 0 means equal."""
+    if f1.m != f2.m:
+        return None
+    if f1 == f2:
+        return 0
+    i = (color - 1) % f1.m
+    ell = opposite_position(f1, i)
+    if ell is None:
+        return None
+    vi = f1.rays[i]
+    b = (ell + 1) % f1.m
+    dx = f2.rays[b][0] - f1.rays[b][0]
+    dy = f2.rays[b][1] - f1.rays[b][1]
+    yp = det2(vi, f1.rays[b])
+    denom_x = -yp * vi[0]
+    denom_y = -yp * vi[1]
+    if denom_x != 0:
+        if dx % denom_x:
+            return None
+        e = dx // denom_x
+    elif denom_y != 0:
+        if dy % denom_y:
+            return None
+        e = dy // denom_y
+    else:
+        return None
+    if e == 0:
+        return None
+    try:
+        return e if shift(f1, color, e) == f2 else None
+    except NoOppositeRay:
+        return None
 
-    Each candidate is validated by reference_validate_puzzle and keyed by
-    permutation_canonical_key, and the first valid candidate met for a key
-    is its representative, in the same loop order as the library (bases,
-    then offset tuples lexicographically).
-    """
+
+class AssignedPuzzle(NamedTuple):
+    """A puzzle given by its fan at every vertex of G(J), which need not be
+    a base shifted by offsets.  It reads as a library Puzzle: the base is the
+    fan at the all-ones vertex, and the offset of copy k of color i is solved
+    by is_edge from the base to the vertex that differs from it there."""
+
+    sig: WedgeSignature
+    assignment: dict
+
+    @property
+    def base(self):
+        return self.assignment[(1,) * self.sig.m]
+
+    @property
+    def offsets(self):
+        alpha0 = (1,) * self.sig.m
+        return tuple(
+            tuple(is_edge(self.base, self.assignment[alpha0[:i - 1] + (k,) + alpha0[i:]], i)
+                  for k in range(2, j + 1))
+            for i, j in enumerate(self.sig.J, start=1))
+
+
+def offset_candidates(sig, base_depth, e_bound, draw):
+    """Every (base, offsets, assignment) of the enumeration loop: bases from
+    enumerate_fans, the offset tuples of one color from draw(range, count),
+    and the assignment None when a nonzero shift has no opposite ray."""
     m, J = sig.m, sig.J
-    out = {}
     for base in enumerate_fans(m, base_depth):
         per_color = []
         for i in range(1, m + 1):
@@ -472,8 +528,7 @@ def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
             elif opposite_position(base, i - 1) is None:
                 per_color.append([(0,) * (J[i - 1] - 1)])
             else:
-                rng = range(-e_bound, e_bound + 1)
-                per_color.append(list(product(rng, repeat=J[i - 1] - 1)))
+                per_color.append(list(draw(range(-e_bound, e_bound + 1), J[i - 1] - 1)))
         for combo in product(*per_color):
             assignment = {}
             try:
@@ -484,51 +539,40 @@ def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
                             fan = shift(fan, i, combo[i - 1][alpha[i - 1] - 2])
                     assignment[alpha] = fan
             except NoOppositeRay:
-                continue
-            puzzle = Puzzle(sig, assignment)
-            if not reference_validate_puzzle(puzzle):
-                continue
-            key = permutation_canonical_key(puzzle)
-            if key not in out:
-                out[key] = puzzle
+                assignment = None
+            yield base, combo, assignment
+
+
+def _reference_classes(sig, base_depth, e_bound, draw, key_of):
+    """The first candidate validated by reference_validate_puzzle for each
+    key, in the library's loop order (bases, then offset tuples)."""
+    out = {}
+    for _, _, assignment in offset_candidates(sig, base_depth, e_bound, draw):
+        if assignment is None:
+            continue
+        puzzle = AssignedPuzzle(sig, assignment)
+        if not reference_validate_puzzle(puzzle):
+            continue
+        key = key_of(puzzle)
+        if key not in out:
+            out[key] = puzzle
     return [(k, out[k]) for k in sorted(out)]
+
+
+def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
+    """Classes of valid puzzles from every ordered tuple of offsets per color,
+    keyed by permutation_canonical_key."""
+    return _reference_classes(sig, base_depth, e_bound,
+                              lambda rng, n: product(rng, repeat=n),
+                              permutation_canonical_key)
 
 
 def multiset_enumerate_puzzles_keyed(sig, base_depth, e_bound):
     """Classes of valid puzzles from every multiset of offsets per color,
-    each candidate validated square by square by reference_validate_puzzle
-    before it is keyed: the library's loop before realizability moved to one
-    test per class."""
-    m, J = sig.m, sig.J
-    out = {}
-    for base in enumerate_fans(m, base_depth):
-        per_color = []
-        for i in range(1, m + 1):
-            if J[i - 1] == 1:
-                per_color.append([()])
-            elif opposite_position(base, i - 1) is None:
-                per_color.append([(0,) * (J[i - 1] - 1)])
-            else:
-                rng = range(-e_bound, e_bound + 1)
-                per_color.append(list(combinations_with_replacement(rng, J[i - 1] - 1)))
-        for combo in product(*per_color):
-            assignment = {}
-            try:
-                for alpha in gj_vertices(sig):
-                    fan = base
-                    for i in range(1, m + 1):
-                        if alpha[i - 1] > 1 and combo[i - 1][alpha[i - 1] - 2]:
-                            fan = shift(fan, i, combo[i - 1][alpha[i - 1] - 2])
-                    assignment[alpha] = fan
-            except NoOppositeRay:
-                continue
-            puzzle = Puzzle(sig, assignment)
-            if not reference_validate_puzzle(puzzle):
-                continue
-            key = puzzle_canonical_key(puzzle)
-            if key not in out:
-                out[key] = puzzle
-    return [(k, out[k]) for k in sorted(out)]
+    each candidate validated square by square before it is keyed: the
+    library's loop before realizability moved to one test per class."""
+    return _reference_classes(sig, base_depth, e_bound,
+                              combinations_with_replacement, puzzle_canonical_key)
 
 
 class NotASquare(ValueError):
@@ -579,7 +623,7 @@ def gj_cubes(sig):
 
 def is_irreducible(p):
     """No edge of G(J) joins two equal fans."""
-    return all(p.assignment[a] != p.assignment[b] for a, b in gj_edges(p.sig))
+    return all(p.assignment[a] != p.assignment[b] for _, a, b in gj_edges(p.sig))
 
 
 def realizable_square(fans, colors, params) -> bool:
@@ -604,10 +648,7 @@ def realizable_square(fans, colors, params) -> bool:
         ci = alpha[i - 1]
         ct = alpha[t - 1]
         assignment[alpha] = (f00, f10, f01, f11)[(ci - 1) + 2 * (ct - 1)]
-    try:
-        mat = assemble_matrix(Puzzle(sig, assignment))
-    except InvalidPuzzle:
-        return False
+    mat = assemble_matrix(AssignedPuzzle(sig, assignment))
     if not check_nonsingular(mat, build_complex(sig)):
         return False
     for alpha in gj_vertices(sig):
@@ -619,15 +660,18 @@ def realizable_square(fans, colors, params) -> bool:
     return True
 
 
+def reference_edges_valid(p) -> bool:
+    """Edge color-consistency: is_edge relates the fans at the two ends of
+    every color-i edge of G(J) in color i."""
+    return all(is_edge(p.assignment[a], p.assignment[b], i) is not None
+               for i, a, b in gj_edges(p.sig))
+
+
 def reference_validate_puzzle(p) -> bool:
     """Edge color-consistency plus realizability of every square of G(J)."""
     sig = p.sig
-    for a in gj_vertices(sig):
-        if a not in p.assignment:
-            return False
-    for a, b in gj_edges(sig):
-        if p.edge_parameter(a, b) is None:
-            return False
+    if not reference_edges_valid(p):
+        return False
     for (i, t), (c00, c10, c01, c11) in gj_squares(sig):
         f00 = p.assignment[c00]
         e = is_edge(f00, p.assignment[c10], i)

@@ -57,7 +57,6 @@ from toricwedge.wedgepuzzle import (
     check_nonsingular,
     enumerate_puzzles_keyed,
     gj_vertices,
-    is_edge,
     project_to_vertex,
     puzzle_to_dict,
     signature,

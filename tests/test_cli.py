@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -65,12 +66,9 @@ class TestCheck:
 
     def test_matrix_input(self, tmp_path):
         from toricwedge.planefan import PlaneFan
-        from toricwedge.wedgepuzzle import (
-            Puzzle, WedgeSignature, assemble_matrix, gj_vertices, matrix_to_dict, shift)
+        from toricwedge.wedgepuzzle import Puzzle, WedgeSignature
         base = PlaneFan(tuple(map(tuple, PENTAGON)))
-        sig = WedgeSignature(5, (2, 1, 1, 1, 1))
-        shifted = shift(base, 1, 1)
-        p = Puzzle(sig, {a: (shifted if a[0] == 2 else base) for a in gj_vertices(sig)})
+        p = Puzzle(WedgeSignature(5, (2, 1, 1, 1, 1)), base, ((1,), (), (), (), ()))
         path = tmp_path / "mat.json"
         path.write_text(json.dumps(matrix_to_dict(assemble_matrix(p))))
         assert run_cli(["check", "--in", str(path)]) == 0
@@ -182,12 +180,9 @@ class TestShephard:
 
     def test_wedge_matrix_dimension(self, tmp_path, capsys):
         from toricwedge.planefan import PlaneFan
-        from toricwedge.wedgepuzzle import (
-            Puzzle, WedgeSignature, assemble_matrix, gj_vertices, matrix_to_dict, shift)
+        from toricwedge.wedgepuzzle import Puzzle, WedgeSignature
         base = PlaneFan(tuple(map(tuple, PENTAGON)))
-        sig = WedgeSignature(5, (2, 1, 1, 1, 1))
-        shifted = shift(base, 1, 1)
-        p = Puzzle(sig, {a: (shifted if a[0] == 2 else base) for a in gj_vertices(sig)})
+        p = Puzzle(WedgeSignature(5, (2, 1, 1, 1, 1)), base, ((1,), (), (), (), ()))
         path = tmp_path / "mat.json"
         path.write_text(json.dumps(matrix_to_dict(assemble_matrix(p))))
         assert run_cli(["shephard", "--in", str(path)]) == 0
@@ -240,6 +235,15 @@ class TestEntryPoint:
         proc = run_python("-O", "-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised: rotation identity failed on a valid fan\n"
+
+    def test_no_assert_statements_in_package(self):
+        # the rule the test above relies on: no invariant in the package is
+        # an assert statement, which python -O would strip
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(toricwedge.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 SMALL = st.integers(-3, 3)
@@ -310,3 +314,15 @@ def test_malformed_json_shape_exits_2(command, text, tmp_path):
     label = re.search(r'"label": "([^"]*)"', text)
     if label:
         assert f"'{label[1]}'" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [["check", "--in", "{fan}"], ["reduce", "--in", "{fan}"],
+                                  ["shephard", "--in", "{fan}"],
+                                  ["classify", "--m", "3", "--j", "2,1,1"]])
+def test_unwritable_output_exits_2(args, tmp_path):
+    fan = write_fan(tmp_path, "pent.json", PENTAGON)
+    out = tmp_path / "missing" / "out.json"
+    proc = run_python("-m", "toricwedge", *[a.format(fan=fan) for a in args], "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot write output:") and proc.stderr.count("\n") == 1

@@ -39,8 +39,6 @@ from toricwedge.wedgepuzzle import (
     WedgeSignature,
     assemble_matrix,
     build_complex,
-    gj_vertices,
-    shift,
     signature,
 )
 
@@ -64,12 +62,9 @@ def pentagon_facets():
 
 
 def single_wedge_puzzle(base, color, e):
-    m = base.m
-    J = tuple(2 if i + 1 == color else 1 for i in range(m))
-    sig = WedgeSignature(m, J)
-    shifted = shift(base, color, e)
-    return Puzzle(sig, {a: (shifted if a[color - 1] == 2 else base)
-                        for a in gj_vertices(sig)})
+    J = tuple(2 if i + 1 == color else 1 for i in range(base.m))
+    return Puzzle(WedgeSignature(base.m, J), base,
+                  tuple((e,) if i + 1 == color else () for i in range(base.m)))
 
 
 class TestPositiveRelation:

@@ -16,7 +16,6 @@ from toricwedge.planefan import (
 )
 from toricwedge.wedgepuzzle import (
     CharMatrix,
-    InvalidPuzzle,
     NotWedged,
     Puzzle,
     WedgeSignature,
@@ -27,14 +26,12 @@ from toricwedge.wedgepuzzle import (
     enumerate_puzzles_keyed,
     fan_from_matrix,
     gj_vertices,
-    is_edge,
     is_realizable,
     matrix_from_dict,
     matrix_from_fan,
     matrix_to_dict,
     project_to_vertex,
     projection,
-    puzzle_from_dict,
     puzzle_canonical_key,
     puzzle_to_dict,
     shift,
@@ -42,11 +39,15 @@ from toricwedge.wedgepuzzle import (
     validate_puzzle,
 )
 from oracles import (
+    AssignedPuzzle,
     gj_cubes,
+    is_edge,
     is_irreducible,
+    offset_candidates,
     ordered_enumerate_puzzles_keyed,
     permutation_canonical_key,
     realizable_square,
+    reference_edges_valid,
     reference_validate_puzzle,
 )
 
@@ -56,18 +57,13 @@ def pentagon(d):
 
 
 def constant_puzzle(sig, fan):
-    return Puzzle(sig, {a: fan for a in gj_vertices(sig)})
+    return Puzzle(sig, fan, tuple((0,) * (j - 1) for j in sig.J))
 
 
-def single_wedge_puzzle(base, color, e, m=None):
-    m = m or base.m
-    J = tuple(2 if i + 1 == color else 1 for i in range(m))
-    sig = WedgeSignature(m, J)
-    shifted = shift(base, color, e)
-    assignment = {}
-    for a in gj_vertices(sig):
-        assignment[a] = shifted if a[color - 1] == 2 else base
-    return Puzzle(sig, assignment)
+def single_wedge_puzzle(base, color, e):
+    J = tuple(2 if i + 1 == color else 1 for i in range(base.m))
+    return Puzzle(WedgeSignature(base.m, J), base,
+                  tuple((e,) if i + 1 == color else () for i in range(base.m)))
 
 
 # -- direct iterated wedging, the independent oracle for build_complex --------
@@ -208,17 +204,10 @@ class TestAssemble:
         assert project_to_vertex(mat, (2, 1, 1, 1, 1)) == pentagon(3)
 
     def test_cp2_trivial_wedge_is_cp3_matrix(self):
-        p = single_wedge_puzzle(cp2_fan(), 1, 0, m=3)
+        p = single_wedge_puzzle(cp2_fan(), 1, 0)
         mat = assemble_matrix(p)
         sig = p.sig
         assert check_nonsingular(mat, build_complex(sig))
-
-    def test_invalid_puzzle_rejected(self):
-        sig = signature(5, (2, 1, 1, 1, 1))
-        assignment = {a: pentagon(2) for a in gj_vertices(sig)}
-        assignment[(2, 1, 1, 1, 1)] = pentagon(2).rays and hirzebruch_fan(0)
-        with pytest.raises(InvalidPuzzle):
-            assemble_matrix(Puzzle(sig, assignment))
 
 
 class TestProjection:
@@ -337,23 +326,9 @@ class TestPuzzles:
         assert check_nonsingular(mat, build_complex(p.sig))
 
     def test_two_nonopposite_colors_invalid(self):
-        base = hirzebruch_fan(0)
-        sig = signature(4, (2, 2, 1, 1))
-        assignment = {}
-        ok = True
-        for a in gj_vertices(sig):
-            fan = base
-            try:
-                if a[0] == 2:
-                    fan = shift(fan, 1, 1)
-                if a[1] == 2:
-                    fan = shift(fan, 2, 1)
-            except NoOppositeRay:
-                ok = False
-                break
-            assignment[a] = fan
         # the composite shift does not even exist, or the puzzle is invalid
-        assert not ok or not validate_puzzle(Puzzle(sig, assignment))
+        p = Puzzle(signature(4, (2, 2, 1, 1)), hirzebruch_fan(0), ((1,), (1,), (), ()))
+        assert not validate_puzzle(p)
 
     def test_oracle_equivalence_nonsingular_iff_valid(self):
         rng = random.Random(79)
@@ -364,31 +339,15 @@ class TestPuzzles:
                 if base.m != sig.m:
                     continue
                 for _ in range(12):
-                    assignment = {}
-                    params = {}
-                    for i in range(1, sig.m + 1):
-                        for k in range(2, sig.J[i - 1] + 1):
-                            params[(i, k)] = rng.randint(-2, 2)
-                    ok = True
-                    for a in gj_vertices(sig):
-                        fan = base
-                        try:
-                            for i in range(1, sig.m + 1):
-                                if a[i - 1] > 1 and params[(i, a[i - 1])]:
-                                    fan = shift(fan, i, params[(i, a[i - 1])])
-                        except NoOppositeRay:
-                            ok = False
-                            break
-                        assignment[a] = fan
-                    if not ok:
-                        continue
-                    p = Puzzle(sig, assignment)
+                    offsets = tuple(tuple(rng.randint(-2, 2) for _ in range(j - 1))
+                                    for j in sig.J)
+                    p = Puzzle(sig, base, offsets)
                     try:
-                        mat = assemble_matrix(p)
-                    except InvalidPuzzle:
+                        p.assignment
+                    except NoOppositeRay:
                         assert not validate_puzzle(p)
-                        assert not reference_validate_puzzle(p)
                         continue
+                    mat = assemble_matrix(p)
                     valid = validate_puzzle(p) and is_realizable(p)
                     assert valid == reference_validate_puzzle(p)
                     assert check_nonsingular(mat, build_complex(sig)) == valid
@@ -403,7 +362,7 @@ class TestPuzzles:
         p = next(p for p in enumerate_puzzles(sig, 1, 1) if is_irreducible(p))
         far = (2, 1, 2, 1, 1)
         assert is_realizable(p)
-        q = Puzzle(sig, {**p.assignment, far: p.base})
+        q = AssignedPuzzle(sig, {**p.assignment, far: p.base})
         assert q.assignment[far] != p.assignment[far]
         assert validate(q.assignment[far].rays) == q.assignment[far]
         assert assemble_matrix(q) == assemble_matrix(p)
@@ -492,13 +451,13 @@ def relabel_puzzle(p, pos_map, reflect):
         if reflect:
             rays = [(y, x) for x, y in rays]
         assignment[alpha] = PlaneFan(tuple(rays))
-    return Puzzle(sig, assignment)
+    return AssignedPuzzle(sig, assignment)
 
 
 def permute_copies(p, color, perm):
     """The same puzzle with copy k of `color` renamed perm[k - 1]."""
-    return Puzzle(p.sig, {a[:color - 1] + (perm[a[color - 1] - 1],) + a[color:]: f
-                          for a, f in p.assignment.items()})
+    return AssignedPuzzle(p.sig, {a[:color - 1] + (perm[a[color - 1] - 1],) + a[color:]: f
+                                  for a, f in p.assignment.items()})
 
 
 class TestCanonicalKey:
@@ -513,11 +472,8 @@ class TestCanonicalKey:
     def test_repeated_offsets(self):
         base = pentagon(2)
         for offsets in ((1, 1), (0, 0), (-1, 1), (1, -1, 1), (0, 2, 0), (2, 2, 2)):
-            J = (len(offsets) + 1, 1, 1, 1, 1)
-            edges = [{"color": 1, "from": [1] * 5, "to": [k, 1, 1, 1, 1], "e": e}
-                     for k, e in enumerate(offsets, start=2)]
-            p = puzzle_from_dict({"m": 5, "J": list(J), "base": {"rays": base.rays},
-                                  "edges": edges})
+            sig = signature(5, (len(offsets) + 1, 1, 1, 1, 1))
+            p = Puzzle(sig, base, (offsets, (), (), (), ()))
             assert puzzle_canonical_key(p) == permutation_canonical_key(p)
 
     def test_permuted_and_relabeled_copies(self):
@@ -549,8 +505,36 @@ class TestCanonicalKey:
             for fan in rng.sample(fans, min(len(fans), rng.choice((1, 2)))):
                 k = rng.randrange(m)
                 pool += [fan, PlaneFan(fan.rays[k:] + fan.rays[:k])]
-            p = Puzzle(sig, {a: rng.choice(pool) for a in gj_vertices(sig)})
+            p = AssignedPuzzle(sig, {a: rng.choice(pool) for a in gj_vertices(sig)})
             assert puzzle_canonical_key(p) == permutation_canonical_key(p)
+
+
+def assert_edge_checks_agree(signatures, base_depth, e_bound):
+    """validate_puzzle, which shifts by the difference of two offsets, and
+    is_edge, which solves for the shift between two fans, agree on every
+    candidate of the enumeration loop, kept or not."""
+    candidates = rejected = 0
+    for m, J in signatures:
+        sig = signature(m, J)
+        for base, offsets, assignment in offset_candidates(
+                sig, base_depth, e_bound, itertools.combinations_with_replacement):
+            got = validate_puzzle(Puzzle(sig, base, offsets))
+            want = assignment is not None and reference_edges_valid(AssignedPuzzle(sig, assignment))
+            assert got == want, (sig, base, offsets)
+            candidates += 1
+            rejected += not got
+    assert 0 < rejected < candidates
+
+
+class TestEdgeCheck:
+    def test_offset_edge_check_matches_is_edge(self):
+        assert_edge_checks_agree(KEYED_SIGNATURES, 2, 2)
+
+    @pytest.mark.slow
+    def test_offset_edge_check_matches_is_edge_wide(self):
+        assert_edge_checks_agree(KEYED_SIGNATURES, 3, 3)
+        assert_edge_checks_agree([(4, (2, 2, 2, 2)), (5, (2, 1, 2, 1, 1)), (5, (2, 2, 1, 1, 1)),
+                                  (4, (3, 1, 3, 1))], 3, 5)
 
 
 class TestJson:
@@ -559,7 +543,12 @@ class TestJson:
         again = matrix_from_dict(matrix_to_dict(mat))
         assert again == mat
 
-    def test_puzzle_round_trip(self):
-        p = single_wedge_puzzle(pentagon(2), 1, 1)
-        q = puzzle_from_dict(puzzle_to_dict(p))
-        assert q.sig == p.sig and q.assignment == p.assignment
+    def test_puzzle_dict_carries_offsets(self):
+        p = Puzzle(signature(5, (3, 1, 1, 2, 1)), pentagon(2), ((-1, 2), (), (), (1,), ()))
+        assert puzzle_to_dict(p) == {
+            "m": 5, "J": [3, 1, 1, 2, 1], "base": {"rays": [list(v) for v in pentagon(2).rays]},
+            "edges": [{"color": 1, "from": [1] * 5, "to": [2, 1, 1, 1, 1], "e": -1},
+                      {"color": 1, "from": [1] * 5, "to": [3, 1, 1, 1, 1], "e": 2},
+                      {"color": 4, "from": [1] * 5, "to": [1, 1, 1, 2, 1], "e": 1}]}
+        # the offsets are what is_edge solves from the fans they produce
+        assert AssignedPuzzle(p.sig, p.assignment).offsets == p.offsets
