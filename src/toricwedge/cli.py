@@ -8,6 +8,7 @@ across runs and worker counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -121,16 +122,27 @@ class CannotWrite(OSError):
     """The output file could not be written."""
 
 
+def _open_out(path):
+    """The output stream: path opened for writing, or stdout when path is
+    empty.  An unwritable path raises CannotWrite here, before any work."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise CannotWrite(e) from e
+
+
+def _dump(data: dict, fh) -> None:
+    try:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    except OSError as e:
+        raise CannotWrite(e) from e
+
+
 def _write(data: dict, path) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
-    if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as e:
-            raise CannotWrite(e) from e
-    else:
-        print(text)
+    with _open_out(path) as fh:
+        _dump(data, fh)
 
 
 def cmd_check(args) -> int:
@@ -224,27 +236,28 @@ def cmd_classify(args) -> int:
     except (ValueError, TypeError) as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
-    puzzles = enumerate_puzzles(sig, args.base_depth, args.e_bound)
-    workers = args.workers
-    if workers > 1 and len(puzzles) > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_certify, puzzles)
-    else:
-        records = [_certify(p) for p in puzzles]
-    n = len(records)
-    n_proj = sum(1 for r in records if r["verdict"] == "projective")
-    n_disagree = sum(1 for r in records if r["verdict"] == "oracle-disagreement")
-    out = {
-        "m": sig.m,
-        "J": list(sig.J),
-        "classes": n,
-        "projective": n_proj,
-        "oracle_disagreements": n_disagree,
-        "fraction_projective": frac_str(Fraction(n_proj, n)) if n else "0",
-        "records": records,
-    }
-    _write(out, args.out)
+    # open --out before the run, so that an unwritable path costs no work
+    with _open_out(args.out) as fh:
+        puzzles = enumerate_puzzles(sig, args.base_depth, args.e_bound)
+        workers = args.workers
+        if workers > 1 and len(puzzles) > 1:
+            import multiprocessing
+            with multiprocessing.Pool(workers) as pool:
+                records = pool.map(_certify, puzzles)
+        else:
+            records = [_certify(p) for p in puzzles]
+        n = len(records)
+        n_proj = sum(1 for r in records if r["verdict"] == "projective")
+        n_disagree = sum(1 for r in records if r["verdict"] == "oracle-disagreement")
+        _dump({
+            "m": sig.m,
+            "J": list(sig.J),
+            "classes": n,
+            "projective": n_proj,
+            "oracle_disagreements": n_disagree,
+            "fraction_projective": frac_str(Fraction(n_proj, n)) if n else "0",
+            "records": records,
+        }, fh)
     if n_disagree:
         return EXIT_DISAGREEMENT
     return 0

@@ -4,7 +4,8 @@ Every value is an exact rational, so verdicts come with witnesses that
 re-substitute exactly.  The feasibility engine is a two-phase simplex with
 Bland's anti-cycling rule, maximizing an auxiliary slack variable t (capped
 at 1); a system with strict inequalities is feasible iff the optimal t is
-positive.
+positive.  Free variables are x = x' - mu*1 with x' >= 0 and one shift
+column mu >= 0.
 
 The loops run on integers: integer constraint rows stay integers, the
 simplex tableau and its objective row are integer, row reduction is
@@ -18,7 +19,9 @@ Facet and coface matrices are inverted one way only: integer_adjugate, a
 fraction-free Gauss-Jordan elimination that returns the integer adjugate and
 the determinant together.  relint_intersection has two encodings: integer
 barycentric functionals from that adjugate when every family is a
-nonsingular full simplex, and explicit barycentric variables otherwise.
+nonsingular full simplex, solved by row generation (a few functionals per
+family, the violated ones added until the witness satisfies all of them),
+and explicit barycentric variables otherwise.
 """
 
 from __future__ import annotations
@@ -413,21 +416,23 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
 
     Maximizes an auxiliary slack t subject to a.x + t <= b for every strict
     constraint and t <= 1; the system is feasible iff the optimum is positive.
+    The free x is written x = x' - mu*1 with x' >= 0 and one shift column
+    mu >= 0, so the tableau has dim + 1 columns for x rather than 2*dim.
     The witness satisfies every equality exactly; the reported slack is the
     smallest strict-constraint margin.
     """
     dim = sys.dimension
-    # variable layout: x+ (dim), x- (dim), t | slacks | artificials
-    nx = 2 * dim + 1
-    t_col = 2 * dim
+    # variable layout: x' (dim), mu, t | slacks | artificials
+    nx = dim + 2
+    t_col = dim + 1
     raw: list[tuple[list, object, str]] = []
     for a, b in sys.equalities:
-        raw.append(([*a, *(-c for c in a), 0], b, "eq"))
+        raw.append(([*a, -sum(a), 0], b, "eq"))
     for a, b in sys.weak:
-        raw.append(([*a, *(-c for c in a), 0], b, "le"))
+        raw.append(([*a, -sum(a), 0], b, "le"))
     for a, b in sys.strict:
-        raw.append(([*a, *(-c for c in a), 1], b, "le"))
-    raw.append(([0] * (2 * dim) + [1], 1, "le"))
+        raw.append(([*a, -sum(a), 1], b, "le"))
+    raw.append(([0] * (dim + 1) + [1], 1, "le"))
 
     nslack = sum(1 for r in raw if r[2] == "le")
     # artificials only for equality rows and flipped inequality rows
@@ -482,9 +487,9 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     topt = tab.maximize()
     if topt <= 0:
         return FeasibilityResult(False)
-    val = tab.values(2 * dim)
-    witness = tuple(Q(pn * md - mn * pd, pd * md)
-                    for (pn, pd), (mn, md) in zip(val[:dim], val[dim:]))
+    val = tab.values(dim + 1)
+    mn, md = val[dim]
+    witness = tuple(Q(pn * md - mn * pd, pd * md) for pn, pd in val[:dim])
     if not sys.strict:
         return FeasibilityResult(True, witness, topt)
     # smallest margin b - a.x, over the witness's common denominator
@@ -513,6 +518,53 @@ def _simplex_functionals(fam):
     return rows, Q(scale, abs(det))
 
 
+def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
+    """relint_intersection over full simplices, by row generation.
+
+    Each functional lambda_j > 0 is one strict row, deduplicated across
+    families.  The LP starts from the first row of every family.  After each
+    solve the witness is substituted into every row, and each family whose
+    rows are not all satisfied adds its most violated row (smallest margin,
+    then lowest index), until no row is violated.  A subset that is
+    infeasible proves the whole system infeasible, so the verdict is that of
+    the full system, and the slack is the smallest margin over all rows, not
+    only over the rows solved.
+    """
+    rows = []  # (a, b) with lambda_j(x) > 0  <=>  a . x < b
+    index = {}
+    members = []  # per family, the indices of its rows
+    for fam_rows, _ in simplices:
+        own = []
+        for row in fam_rows:
+            key = tuple(make_primitive([-v for v in row[:dim]] + [row[dim]]))
+            if key not in index:
+                index[key] = len(rows)
+                rows.append((key[:dim], key[dim]))
+            own.append(index[key])
+        members.append(own)
+    active = {own[0] for own in members}
+    while True:
+        res = strict_feasible(StrictLinearSystem.build(
+            dim, (), (), [rows[i] for i in sorted(active)]))
+        if not res.feasible:
+            return res
+        xs, scale = clear_denominators(res.witness)
+        margins = [b * scale - sum(map(_mul, a, xs)) for a, b in rows]
+        worst = {min(own, key=lambda i: (margins[i], i)) for own in members}
+        violated = {i for i in worst if margins[i] <= 0}
+        if not violated:
+            break
+        active |= violated
+    # lambda_j = factor * (r . (xs, scale)) / scale, one Fraction each
+    bary = tuple(
+        tuple(Q(factor.numerator * (sum(map(_mul, r, xs)) + r[dim] * scale),
+                factor.denominator * scale)
+              for r in fam_rows)
+        for fam_rows, factor in simplices)
+    slack = Q(min(margins), scale) if rows else res.slack
+    return FeasibilityResult(True, res.witness, slack, bary)
+
+
 def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optional[int] = None
                         ) -> FeasibilityResult:
     """Decide whether the relative interiors of the convex hulls intersect.
@@ -521,9 +573,11 @@ def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optio
     of S.  Two encodings, chosen by the shape of the input: when every family
     is a nonsingular full simplex (dim + 1 affinely independent points), its
     barycentric weights are integer linear functionals of x, taken from one
-    adjugate, and the program has x alone as variables; otherwise the weights
-    stay as explicit variables next to x.  Returns the witness x and one
-    barycentric tuple per family, in input order.
+    adjugate, and the program has x alone as variables, its rows generated
+    as the witness violates them (_relint_of_simplices); otherwise the
+    weights stay as explicit variables next to x.  Returns the witness x and
+    one barycentric tuple per family, in input order, each computed from all
+    of that family's functionals.
     """
     fams = [tuple(_qvec(p) for p in fam) for fam in families]
     for fam in fams:
@@ -537,26 +591,7 @@ def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optio
     if all(len(fam) == dim + 1 for fam in fams):
         simplices = [_simplex_functionals(fam) for fam in fams]
         if None not in simplices:
-            strict = []
-            seen = set()
-            for rows, _ in simplices:
-                for row in rows:
-                    # lambda_j(x) > 0  <=>  -row[:dim] . x < row[dim]
-                    key = tuple(make_primitive([-v for v in row[:dim]] + [row[dim]]))
-                    if key not in seen:
-                        seen.add(key)
-                        strict.append((key[:dim], key[dim]))
-            res = strict_feasible(StrictLinearSystem.build(dim, (), (), strict))
-            if not res.feasible:
-                return res
-            # lambda_j = factor * (r . (xs, scale)) / scale, one Fraction each
-            xs, scale = clear_denominators(res.witness)
-            bary = tuple(
-                tuple(Q(factor.numerator * (sum(map(_mul, r, xs)) + r[dim] * scale),
-                        factor.denominator * scale)
-                      for r in rows)
-                for rows, factor in simplices)
-            return FeasibilityResult(True, res.witness, res.slack, bary)
+            return _relint_of_simplices(simplices, dim)
 
     # general encoding: variables (x, all lambda)
     sizes = [len(fam) for fam in fams]

@@ -5,9 +5,10 @@ meaningful: Fourier-Motzkin elimination for feasibility, a rational grid
 sweep for relative-interior membership in the plane, and a minor-by-minor
 cofactor matrix against which the library's integer adjugate is checked.
 The feasibility engine is checked against the earlier simplex whose
-objective row was kept in Fractions, kernel_basis against a Fraction
-row reduction, and kernel_with_ones against the greedy rank loop it
-replaced.  The puzzle classes are checked against a canonical key that tries every
+objective row was kept in Fractions (in the same shift-column layout), the
+row-generated coface intersection against one solve of its whole strict
+system, kernel_basis against a Fraction row reduction, and
+kernel_with_ones against the greedy rank loop it replaced.  The puzzle classes are checked against a canonical key that tries every
 copy permutation, an enumeration over every ordered offset tuple, and the
 offset-multiset enumeration that checked every square of G(J) of every
 candidate for realizability, where the library checks each class once.
@@ -23,8 +24,20 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import gcd
 from typing import NamedTuple
 
-from toricwedge.exactmath import FeasibilityResult, InvariantViolation, QMatrix, integer_det
+from toricwedge.exactmath import (
+    FeasibilityResult,
+    InvariantViolation,
+    QMatrix,
+    StrictLinearSystem,
+    _simplex_functionals,
+    integer_det,
+    make_primitive,
+    relint_intersection,
+    strict_feasible,
+    verify_result,
+)
 from toricwedge.planefan import NoOppositeRay, PlaneFan, det2, enumerate_fans, opposite_position
+from toricwedge.shephard import _fan_data, _validated, coface_indices, s_sigma, shephard_diagram
 from toricwedge.wedgepuzzle import (
     WedgeSignature,
     _dihedral_maps,
@@ -214,18 +227,19 @@ class _ReferenceSimplex:
 
 def reference_strict_feasible(sys):
     """strict_feasible as a two-phase simplex over _ReferenceSimplex, with the
-    same tableau layout and pivot rule, and the slack summed in Fractions."""
+    same tableau layout (x = x' - mu*1, one shift column) and pivot rule, and
+    the slack summed in Fractions."""
     dim = sys.dimension
-    nx = 2 * dim + 1
-    t_col = 2 * dim
+    nx = dim + 2
+    t_col = dim + 1
     raw = []
     for a, b in sys.equalities:
-        raw.append(([*a, *(-c for c in a), Q(0)], b, "eq"))
+        raw.append(([*a, -sum(a, Q(0)), Q(0)], b, "eq"))
     for a, b in sys.weak:
-        raw.append(([*a, *(-c for c in a), Q(0)], b, "le"))
+        raw.append(([*a, -sum(a, Q(0)), Q(0)], b, "le"))
     for a, b in sys.strict:
-        raw.append(([*a, *(-c for c in a), Q(1)], b, "le"))
-    raw.append(([Q(0)] * (2 * dim) + [Q(1)], Q(1), "le"))
+        raw.append(([*a, -sum(a, Q(0)), Q(1)], b, "le"))
+    raw.append(([Q(0)] * (dim + 1) + [Q(1)], Q(1), "le"))
 
     nslack = sum(1 for r in raw if r[2] == "le")
     need_art = [kind == "eq" or rhs < 0 for _, rhs, kind in raw]
@@ -280,11 +294,94 @@ def reference_strict_feasible(sys):
     if topt <= 0:
         return FeasibilityResult(False)
     sol = tab.solution()
-    witness = tuple(sol[j] - sol[dim + j] for j in range(dim))
+    witness = tuple(sol[j] - sol[dim] for j in range(dim))
     margins = [b - sum((ai_ * xi for ai_, xi in zip(a, witness)), Q(0))
                for a, b in sys.strict]
     slack = min(margins) if margins else topt
     return FeasibilityResult(True, witness, slack)
+
+
+def simplex_strict_system(families, dim):
+    """The whole strict system of relint_intersection's full-simplex
+    encoding, with the functionals it came from: (system, simplices), where
+    the system has one primitive row per distinct barycentric functional of
+    every family, in family order.  None when some family is not a
+    nonsingular full simplex."""
+    if any(len(fam) != dim + 1 for fam in families):
+        return None
+    simplices = [_simplex_functionals([tuple(map(Q, p)) for p in fam]) for fam in families]
+    if None in simplices:
+        return None
+    strict = []
+    seen = set()
+    for rows, _ in simplices:
+        for row in rows:
+            # lambda_j(x) > 0  <=>  -row[:dim] . x < row[dim]
+            key = tuple(make_primitive([-v for v in row[:dim]] + [row[dim]]))
+            if key not in seen:
+                seen.add(key)
+                strict.append((key[:dim], key[dim]))
+    return StrictLinearSystem.build(dim, (), (), strict), simplices
+
+
+def reference_relint_intersection(families, dimension=None):
+    """relint_intersection's full-simplex encoding as one solve of the whole
+    strict system, where the library generates rows as they are violated.
+    Families that are not all full simplices go to the library's general
+    encoding, which row generation does not touch."""
+    dim = len(families[0][0]) if dimension is None else dimension
+    full = simplex_strict_system(families, dim)
+    if full is None:
+        return relint_intersection(families, dimension)
+    sys, simplices = full
+    res = strict_feasible(sys)
+    if not res.feasible:
+        return res
+    x = res.witness
+    bary = tuple(tuple(factor * (sum((r[c] * x[c] for c in range(dim)), Q(0)) + r[dim])
+                       for r in rows)
+                 for rows, factor in simplices)
+    return FeasibilityResult(True, x, res.slack, bary)
+
+
+def margins(sys, x):
+    """b - a.x for every strict row (a, b) of sys."""
+    return [b - sum((ai * xi for ai, xi in zip(a, x)), Q(0)) for a, b in sys.strict]
+
+
+def assert_relint_certificate(families, dim, res):
+    """A feasible relint_intersection result re-verified by substitution: the
+    witness satisfies every row of the whole strict system, the slack is the
+    least margin over all rows, and each barycentric tuple is positive, sums
+    to 1 and reproduces the witness."""
+    sys, _ = simplex_strict_system(families, dim)
+    assert verify_result(sys, res), "witness fails the whole strict system"
+    assert res.slack == min(margins(sys, res.witness)), "slack is not the least margin"
+    assert len(res.barycentric) == len(families)
+    for fam, lam in zip(families, res.barycentric):
+        assert all(v > 0 for v in lam) and sum(lam) == 1
+        assert all(sum((Q(p[c]) * v for p, v in zip(fam, lam)), Q(0)) == res.witness[c]
+                   for c in range(dim))
+
+
+def check_shephard_against_reference(obj, cx=None):
+    """Shephard verdict of obj from the library's s_sigma, asserted equal to
+    the one-shot reference's, with a feasible certificate re-verified by
+    substitution into the whole strict system."""
+    cx = _validated(obj, cx)
+    diagram = shephard_diagram(obj, cx)
+    _, _, facets = _fan_data(obj, cx)
+    families = [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
+                for f in facets]
+    cert = s_sigma(diagram, facets)
+    ok = cert.kind == "interior-point"
+    ref = reference_relint_intersection(families, diagram.ambient_dim)
+    assert ok == ref.feasible, f"Shephard verdict {ok} differs from the reference's"
+    if ok:
+        bary = tuple(cert.barycentric[tuple(sorted(f))] for f in facets)
+        assert_relint_certificate(families, diagram.ambient_dim,
+                                  FeasibilityResult(True, cert.point, cert.slack, bary))
+    return ok
 
 
 def fourier_motzkin_feasible(system) -> bool:

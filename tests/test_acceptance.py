@@ -4,8 +4,9 @@ One test per criterion, each printing a PASS/FAIL line (run with -s to see
 them on a green run).  Shared corpora are built once per session: the plane
 fan corpus (criteria 2, 3, 9) and the full wedge-classification sweep over
 m in {4,5,6}, sum(J) <= m+3, base depth 3, shift bound 3 (criteria 4-7).
-One more slow test compares the sweep's classes with the enumeration that
-checked every square of every candidate.
+Two more slow tests compare the sweep's classes with the enumeration that
+checked every square of every candidate, and its Shephard verdicts with one
+solve of the whole coface system.
 
 Certification verdicts are computed once per equivalence class across
 signatures (classes over relabeled signatures share canonical keys); a
@@ -62,6 +63,7 @@ from toricwedge.wedgepuzzle import (
     signature,
 )
 from oracles import (
+    check_shephard_against_reference,
     fourier_motzkin_feasible,
     gj_cubes,
     gj_squares,
@@ -330,6 +332,24 @@ def test_criterion_7_projection_round_trip(sweep):
                     f"projection mismatch at {alpha} over {sig}"
                 n += 1
     report(7, n > 0, f"{n} projections reproduce the assigned fans exactly")
+
+
+@pytest.mark.slow
+def test_sweep_shephard_verdicts_match_reference(sweep):
+    """Row generation gives the verdict of one solve of the whole coface
+    system on every class the sweep certified, and its certificate passes
+    substitution into every row."""
+    per_sig, _ = sweep
+    n = 0
+    for sig, records in per_sig.items():
+        cx = build_complex(sig)
+        for rec in records:
+            if not rec["reused"]:
+                mat = assemble_matrix(rec["puzzle"])
+                assert check_shephard_against_reference(mat, cx) == rec["shephard"], \
+                    f"Shephard verdict differs from the reference over {sig}"
+                n += 1
+    assert n > 0
 
 
 # signatures with two or more wedged colours, compared at shift bound 5 too

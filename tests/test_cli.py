@@ -319,10 +319,15 @@ def test_malformed_json_shape_exits_2(command, text, tmp_path):
 @pytest.mark.parametrize("args", [["check", "--in", "{fan}"], ["reduce", "--in", "{fan}"],
                                   ["shephard", "--in", "{fan}"],
                                   ["classify", "--m", "3", "--j", "2,1,1"]])
-def test_unwritable_output_exits_2(args, tmp_path):
+def test_unwritable_output_exits_2(args, tmp_path, capsys, monkeypatch):
+    """An unwritable --out exits 2 with one line, and classify learns it
+    before enumerating anything."""
+    def never(*_):
+        raise AssertionError("enumeration ran before --out was checked")
+
+    monkeypatch.setattr(toricwedge.cli, "enumerate_puzzles", never)
     fan = write_fan(tmp_path, "pent.json", PENTAGON)
     out = tmp_path / "missing" / "out.json"
-    proc = run_python("-m", "toricwedge", *[a.format(fan=fan) for a in args], "--out", str(out))
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("cannot write output:") and proc.stderr.count("\n") == 1
+    assert main([a.format(fan=fan) for a in args] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1

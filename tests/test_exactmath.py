@@ -5,29 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricwedge import exactmath
 from toricwedge.exactmath import (
     DimensionMismatch,
     EmptyFamily,
+    FeasibilityResult,
     NotSquare,
     OnesNotInKernel,
     QMatrix,
     StrictLinearSystem,
+    _simplex_functionals,
     integer_adjugate,
     integer_det,
     kernel_basis,
     kernel_with_ones,
+    make_primitive,
     relint_intersection,
     strict_feasible,
     verify_result,
 )
+from toricwedge.planefan import blow_up, hirzebruch_fan
+from toricwedge.shephard import _fan_data, coface_indices, shephard_diagram
 from oracles import (
+    assert_relint_certificate,
     cofactor_matrix,
     fourier_motzkin_feasible,
     grid_relint_intersection_2d,
     reference_kernel_basis,
     reference_kernel_with_ones,
     reference_rank,
+    reference_relint_intersection,
     reference_strict_feasible,
+    simplex_strict_system,
 )
 
 Q = Fraction
@@ -376,6 +385,129 @@ class TestRelintIntersection:
                     assert sum(lam) == 1 and all(l > 0 for l in lam)
                     for c in range(2):
                         assert sum(Q(p[c]) * l for p, l in zip(fam, lam)) == res.witness[c]
+
+
+def simplex_around(rng, dim, centre, spread):
+    """A random nonsingular full simplex with centre in its interior: the
+    offsets v_1..v_dim are random and v_0 makes sum w_j v_j = 0 for random
+    weights w_j >= 1, so some points are Fractions."""
+    while True:
+        vs = [[rng.randint(-spread, spread) for _ in range(dim)] for _ in range(dim)]
+        ws = [rng.randint(1, 3) for _ in range(dim + 1)]
+        v0 = [-Q(sum(w * v[c] for w, v in zip(ws[1:], vs)), ws[0]) for c in range(dim)]
+        fam = [tuple(Q(centre[c]) + v[c] for c in range(dim)) for v in [v0] + vs]
+        if _simplex_functionals(fam) is not None:
+            return fam
+
+
+def random_simplex(rng, dim, spread):
+    while True:
+        fam = [tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(dim + 1)]
+        if _simplex_functionals([tuple(map(Q, p)) for p in fam]) is not None:
+            return fam
+
+
+def first_rows_feasible(families, dim):
+    """Whether the LP that row generation starts from, the first functional
+    of every family, is feasible."""
+    rows = [_simplex_functionals([tuple(map(Q, p)) for p in fam])[0][0] for fam in families]
+    keys = [make_primitive([-v for v in r[:dim]] + [r[dim]]) for r in rows]
+    return strict_feasible(StrictLinearSystem.build(
+        dim, (), (), [(k[:dim], k[dim]) for k in keys])).feasible
+
+
+def check_row_generation(families, dim):
+    """relint_intersection against the one-shot reference: the same verdict,
+    and a feasible result re-verified against the whole strict system."""
+    res = relint_intersection(families, dimension=dim)
+    assert res.feasible == reference_relint_intersection(families, dim).feasible
+    if res.feasible:
+        assert_relint_certificate(families, dim, res)
+    else:
+        assert res == FeasibilityResult(False)
+    return res.feasible
+
+
+@st.composite
+def simplex_families(draw):
+    """1-4 full simplices in dimension 2-6: each either random or around a
+    centre that some of them share, and at times one moved far away, so
+    that the families are disjoint."""
+    dim = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    centre = [rng.randint(-3, 3) for _ in range(dim)]
+    fams = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["shared", "shared", "random", "far"]))
+        if kind == "random":
+            fams.append(random_simplex(rng, dim, 3))
+        else:
+            c = centre if kind == "shared" else [200] + centre[1:]
+            fams.append(simplex_around(rng, dim, c, 2))
+    return dim, fams
+
+
+class TestRowGeneration:
+    """relint_intersection over full simplices solves a growing subset of
+    the strict rows; its answer must be that of the whole system."""
+
+    def test_seeded_families(self):
+        rng = random.Random(8)
+        counts = {"feasible": 0, "infeasible": 0, "start_misleads": 0}
+        for trial in range(240):
+            dim = 2 + trial % 5
+            centre = [rng.randint(-3, 3) for _ in range(dim)]
+            far = [100] + centre[1:]
+            shape = trial % 4
+            if shape == 0:  # all around one point: feasible
+                fams = [simplex_around(rng, dim, centre, 2) for _ in range(rng.randint(2, 4))]
+            elif shape == 1:  # two disjoint families, and maybe a shared one
+                fams = [simplex_around(rng, dim, centre, 2), simplex_around(rng, dim, far, 2)]
+                fams += [simplex_around(rng, dim, centre, 2)] * rng.randint(0, 1)
+            else:
+                fams = [random_simplex(rng, dim, 4) for _ in range(rng.randint(1, 4))]
+            feasible = check_row_generation(fams, dim)
+            counts["feasible" if feasible else "infeasible"] += 1
+            if not feasible and first_rows_feasible(fams, dim):
+                counts["start_misleads"] += 1
+        assert counts["feasible"] > 60 and counts["infeasible"] > 60
+        assert counts["start_misleads"] > 60
+
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_families())
+    def test_hypothesis_families(self, case):
+        dim, fams = case
+        check_row_generation(fams, dim)
+
+    def test_pentagon_certificate(self):
+        for d in (0, 1, 2):
+            res = relint_intersection(pentagon_cofaces(d))
+            assert_relint_certificate(pentagon_cofaces(d), 2, res)
+
+    def test_solves_fewer_rows_than_the_system(self, monkeypatch):
+        # the cofaces of a 16-ray plane fan: 16 simplices in dimension 13
+        rng = random.Random(3)
+        fan = hirzebruch_fan(1)
+        while fan.m < 16:
+            fan = blow_up(fan, rng.randrange(fan.m))
+        diagram = shephard_diagram(fan)
+        fams = [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
+                for f in _fan_data(fan)[2]]
+        sizes = []
+        solve = exactmath.strict_feasible
+
+        def counted(sys):
+            sizes.append(len(sys.strict))
+            return solve(sys)
+
+        monkeypatch.setattr(exactmath, "strict_feasible", counted)
+        res = relint_intersection(fams, dimension=diagram.ambient_dim)
+        monkeypatch.undo()
+        whole, _ = simplex_strict_system(fams, diagram.ambient_dim)
+        assert res.feasible
+        assert_relint_certificate(fams, diagram.ambient_dim, res)
+        assert sizes == sorted(set(sizes)) and sizes[0] <= len(fams)
+        assert max(sizes) < len(whole.strict)
 
 
 class TestIntegerDet:

@@ -8,6 +8,8 @@ from toricwedge.exactmath import QMatrix, relint_intersection
 from toricwedge.planefan import (
     NoOppositeRay,
     PlaneFan,
+    blow_up,
+    canonical_form,
     cp2_fan,
     enumerate_fans,
     hirzebruch_fan,
@@ -41,6 +43,7 @@ from toricwedge.wedgepuzzle import (
     build_complex,
     signature,
 )
+from oracles import check_shephard_against_reference
 
 
 def pentagon(d):
@@ -408,3 +411,30 @@ class TestInvariance:
         mine = s_sigma(shephard_diagram(pentagon(2)), pentagon_facets())
         paper = s_sigma(paper_diagram(2), pentagon_facets())
         assert mine.kind == paper.kind == "interior-point"
+
+
+def ten_ray_pool():
+    """Every 10-ray fan that blow-ups of CP2 and F_0..F_3 reach, one per
+    equivalence class, in sorted order: the benchmark's check-fan pool."""
+    bases = [cp2_fan()] + [hirzebruch_fan(d) for d in range(4)]
+    level = set()
+    for n in range(3, 11):
+        level = {canonical_form(blow_up(f, i)) for f in level for i in range(f.m)}
+        level |= {canonical_form(b) for b in bases if b.m == n}
+    return sorted(level, key=lambda f: f.rays)
+
+
+class TestAgainstOneShotReference:
+    """Row generation against one solve of the whole coface system: the
+    same verdict on every fan, and every certificate re-verified by
+    substitution into every row."""
+
+    def test_pool_sample(self):
+        pool = ten_ray_pool()
+        assert all(check_shephard_against_reference(fan) for fan in pool[::40])
+
+    @pytest.mark.slow
+    def test_whole_pool(self):
+        pool = ten_ray_pool()
+        assert len(pool) == 837
+        assert all(check_shephard_against_reference(fan) for fan in pool)
