@@ -28,7 +28,7 @@ from .planefan import (
 from .shephard import (
     NotComplete,
     SingularInput,
-    _fan_data,
+    _facet_table,
     _validated,
     certify,
     coface_indices,
@@ -37,7 +37,6 @@ from .shephard import (
 )
 from .wedgepuzzle import (
     InvalidPuzzle,
-    assemble_matrix,
     build_complex,
     enumerate_puzzles,
     matrix_from_dict,
@@ -195,8 +194,8 @@ def cmd_shephard(args) -> int:
     try:
         obj = load_input(args.infile)
         cx = _validated(obj, None)
+        facets = _facet_table(obj, cx)
         diagram = shephard_diagram(obj, cx)
-        _, _, facets = _fan_data(obj, cx)
         cert = s_sigma(diagram, facets)
     except (FanError, InvalidPuzzle, SingularInput, NotComplete, ValueError,
             KeyError, json.JSONDecodeError, OSError) as e:
@@ -216,7 +215,7 @@ def cmd_shephard(args) -> int:
 
 
 def _certify(puzzle):
-    mat = assemble_matrix(puzzle)
+    mat = puzzle.matrix
     verdict, cert1, cert2 = certify(mat, build_complex(puzzle.sig))
     return {
         "puzzle": puzzle_to_dict(puzzle),

@@ -21,7 +21,10 @@ the determinant together.  relint_intersection has two encodings: integer
 barycentric functionals from that adjugate when every family is a
 nonsingular full simplex, solved by row generation (a few functionals per
 family, the violated ones added until the witness satisfies all of them),
-and explicit barycentric variables otherwise.
+and explicit barycentric variables otherwise.  The row-generation solver,
+_relint_of_simplices, also takes functionals computed elsewhere: the
+Shephard oracle derives its coface functionals by Gale duality from the
+facet adjugates.
 """
 
 from __future__ import annotations
@@ -254,7 +257,11 @@ def integer_adjugate(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int
             if i != k:
                 ri = a[i]
                 f = ri[k]
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(ri, pk)]
+                if f:
+                    a[i] = [(pv * x - f * y) // prev for x, y in zip(ri, pk)]
+                elif pv != prev:
+                    # a row with nothing to eliminate is only rescaled
+                    a[i] = [pv * x // prev for x in ri]
         prev = pv
     return [[sign * x for x in r[n:]] for r in a], sign * prev
 

@@ -192,7 +192,7 @@ def _rotated(rays, k):
     return rays[k:] + rays[:k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def canonical_form(fan: PlaneFan) -> PlaneFan:
     """Lexicographically minimal representative over rotations, reflection,
     and basis change.  Two fans are equivalent iff their canonical forms agree."""

@@ -6,7 +6,9 @@ basis with a trailing ones column.  The fan is strongly polytopal iff the
 relative interiors of all cofaces of maximal cones intersect; an independent
 classical oracle asks instead for strictly convex piecewise-linear support
 heights.  Both run on the exact LP engine, so every verdict carries a
-re-checkable witness.
+re-checkable witness.  Each certified object's facet table is built once and
+serves the minor check, the support walls and, by Gale duality, the
+barycentric functionals of the cofaces.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul as _mul
 from typing import Optional
 
 from .exactmath import (
@@ -21,9 +25,9 @@ from .exactmath import (
     QMatrix,
     StrictLinearSystem,
     _qvec,
+    _relint_of_simplices,
     _simplex_functionals,
     clear_denominators,
-    integer_adjugate,
     kernel_basis,
     kernel_with_ones,
     make_primitive,
@@ -33,11 +37,13 @@ from .exactmath import (
 from .planefan import NoOppositeRay, PlaneFan, validate
 from .wedgepuzzle import (
     CharMatrix,
+    FacetTable,
     NotWedged,
     WedgeComplex,
     WedgeSignature,
     build_complex,
-    check_nonsingular,
+    check_labels,
+    facet_table,
 )
 
 Q = Fraction
@@ -157,24 +163,109 @@ def coface_indices(diagram: ShephardDiagram, cone) -> frozenset:
     return frozenset(lab for lab in diagram.labels if lab not in cone)
 
 
-def _facet_key(facet):
-    return tuple(sorted(facet))
+def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
+    """Integer barycentric functionals of every coface, in the (rows,
+    factor) form of _simplex_functionals and in table order, by Gale
+    duality; None when that does not apply.
+
+    The left kernel of the point matrix [p_j | 1] is the row space of the
+    weighted generator matrix A diag(c).  So the functionals lambda of a
+    coface, extended by zero over its facet sigma, differ from those of the
+    reference coface (the first facet's), mu extended by zero, by a vector
+    c_j u_j . z, and vanishing on sigma fixes z:
+        lambda_j = mu_j - c_j sum_{s in sigma} (A_sigma^-1 u_j)_s mu_s / c_s,
+    with A_sigma^-1 = adj / det from the table.  It applies when every facet
+    matrix is nonsingular, every coface has ambient_dim + 1 points, the
+    weights are nonzero integers and A diag(c) [p_j | 1] = 0, which is how
+    shephard_diagram builds a diagram.
+    """
+    labels = diagram.labels
+    dim = diagram.ambient_dim
+    gens = diagram.generators
+    weights = diagram.weights
+    if not table.facets or None in table.inverses or any(
+            len(labels) - len(f) != dim + 1 for f in table.facets) or any(
+            type(weights[lab]) is not int or weights[lab] == 0 for lab in labels):
+        return None
+    # A diag(c) [p_j | 1] = 0, checked on the integer-scaled point columns
+    n = len(gens[labels[0]])
+    columns = [[1] * len(labels)]
+    for t in range(dim):
+        columns.append(clear_denominators([diagram.points[lab][t] for lab in labels])[0])
+    for r in range(n):
+        cu = [weights[lab] * gens[lab][r] for lab in labels]
+        if any(sum(map(_mul, cu, col)) for col in columns):
+            return None
+    first = set(table.facets[0])
+    ref = [lab for lab in labels if lab not in first]
+    simplex = _simplex_functionals([diagram.points[lab] for lab in ref])
+    if simplex is None:
+        return None
+    rows0, factor0 = simplex
+    mu = dict(zip(ref, rows0))
+    scale = lcm(*(weights[lab] for lab in ref))
+    # mu_s / c_s over the common denominator scale
+    nu = {s: [scale // weights[s] * v for v in mu[s]] for s in ref}
+    out = []
+    for facet, (adj, det) in zip(table.facets, table.inverses):
+        sgn = 1 if det > 0 else -1
+        d = sgn * det * scale
+        in_ref = [(adj[k], nu[s]) for k, s in enumerate(facet) if s in nu]
+        members = set(facet)
+        rows = []
+        for j in labels:
+            if j in members:
+                continue
+            row = [d * v for v in mu[j]] if j in mu else [0] * (dim + 1)
+            u = gens[j]
+            cj = sgn * weights[j]
+            for adj_s, nu_s in in_ref:
+                w = cj * sum(map(_mul, adj_s, u))
+                if w:
+                    row = [a - w * b for a, b in zip(row, nu_s)]
+            rows.append(row)
+        out.append((rows, factor0 / d))
+    return out
 
 
 def s_sigma(diagram: ShephardDiagram, facets) -> PolytopalityCertificate:
-    """Intersection of the cofaces of the maximal cones, as a certificate."""
-    families = []
-    keys = []
-    for facet in facets:
-        labs = sorted(coface_indices(diagram, facet))
-        families.append([diagram.points[lab] for lab in labs])
-        keys.append(_facet_key(facet))
-    res = relint_intersection(families, dimension=diagram.ambient_dim)
+    """Intersection of the cofaces of the maximal cones, as a certificate.
+
+    facets is the FacetTable of the diagram's generators, or a list of
+    label sets whose table is built here.  The barycentric functionals of the cofaces come from the table by
+    Gale duality (_coface_functionals) and go to the row-generation LP; a
+    diagram they do not apply to has its coface hulls intersected by
+    relint_intersection.
+    """
+    table = facets if isinstance(facets, FacetTable) else \
+        facet_table(diagram.generators, facets)
+    simplices = _coface_functionals(diagram, table)
+    if simplices is not None:
+        res = _relint_of_simplices(simplices, diagram.ambient_dim)
+    else:
+        families = [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
+                    for f in table]
+        res = relint_intersection(families, dimension=diagram.ambient_dim)
     if not res.feasible:
         return PolytopalityCertificate(kind="empty-witness")
-    bary = {k: lam for k, lam in zip(keys, res.barycentric)}
+    bary = dict(zip(table.facets, res.barycentric))
     return PolytopalityCertificate(
         kind="interior-point", point=res.witness, barycentric=bary, slack=res.slack)
+
+
+@lru_cache(maxsize=1)
+def _facet_table(obj, cx) -> FacetTable:
+    """The facet table of an input, built once per object: the minor check,
+    the support walls and the coface functionals all read it.  Raises
+    LabelMismatch or SingularInput where check_nonsingular would raise or
+    return False."""
+    if isinstance(obj, CharMatrix):
+        check_labels(obj, cx)
+    _, gens, facets = _fan_data(obj, cx)
+    table = facet_table(gens, facets)
+    if not table.unimodular:
+        raise SingularInput("some facet minor is not +-1")
+    return table
 
 
 @lru_cache(maxsize=1)
@@ -189,8 +280,7 @@ def _validated(obj, cx):
     else:
         if cx is None:
             cx = build_complex(obj.signature_of())
-        if not check_nonsingular(obj, cx):
-            raise SingularInput("some facet minor is not +-1")
+        _facet_table(obj, cx)
         # minors alone do not rule out a non-complete fan; the positive
         # relation exists iff the generators positively span (cached)
         positive_relation([obj.column(lab) for lab in sorted(obj.labels)])
@@ -201,9 +291,7 @@ def is_strongly_polytopal(obj, cx: Optional[WedgeComplex] = None
                           ) -> tuple[bool, PolytopalityCertificate]:
     """Shephard's criterion: strongly polytopal iff all cofaces intersect."""
     cx = _validated(obj, cx)
-    diagram = shephard_diagram(obj, cx)
-    _, _, facets = _fan_data(obj, cx)
-    cert = s_sigma(diagram, facets)
+    cert = s_sigma(shephard_diagram(obj, cx), _facet_table(obj, cx))
     return cert.kind == "interior-point", cert
 
 
@@ -217,8 +305,9 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
     facet.
     """
     cx = _validated(obj, cx)
-    labels, gens, facets = _fan_data(obj, cx)
-    facets = [sorted(f) for f in facets]
+    table = _facet_table(obj, cx)
+    labels, gens, _ = _fan_data(obj, cx)
+    facets = table.facets
     facet_sets = [frozenset(f) for f in facets]
     n = len(gens[labels[0]])
     free = [lab for lab in labels if lab not in facet_sets[0]]
@@ -226,7 +315,7 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
     strict = []
     seen = set()
     for fi in range(len(facets)):
-        inv = None
+        adj, u_det = table.inverses[fi]
         for fj in range(fi + 1, len(facets)):
             if len(facet_sets[fi] & facet_sets[fj]) != n - 1:
                 continue
@@ -235,10 +324,6 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
             # facet matrix U is unimodular, so the weights of u_r in its
             # columns, det(U) * adj(U) . u_r, are integers (Cramer's rule).
             r_out = next(iter(facet_sets[fj] - facet_sets[fi]))
-            if inv is None:
-                inv = integer_adjugate(
-                    [[gens[lab][c] for lab in facets[fi]] for c in range(n)])
-            adj, u_det = inv
             ur = gens[r_out]
             row = [0] * len(free)
             for k, lab in enumerate(facets[fi]):
@@ -262,7 +347,8 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
 def certify(obj, cx: Optional[WedgeComplex] = None
             ) -> tuple[str, PolytopalityCertificate, PolytopalityCertificate]:
     """Run both oracles on one object, validated once: the support oracle
-    finds the object that the Shephard oracle validated in _validated's cache.
+    finds the object that the Shephard oracle validated, and its facet
+    table, in the caches of _validated and _facet_table.
 
     Returns (verdict, Shephard certificate, support certificate), where the
     verdict is "projective", "not-strongly-polytopal" or

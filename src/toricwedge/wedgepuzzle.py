@@ -1,4 +1,5 @@
-"""Wedge complexes over polygons, characteristic matrices, shifts and puzzles.
+"""Wedge complexes over polygons, characteristic matrices, facet tables,
+shifts and puzzles.
 
 Vertices of the wedged polygon carry labels (i, k) with i in 1..m and copy
 index k in 1..j_i.  A puzzle is a base fan together with a shift offset for
@@ -16,8 +17,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
-from .exactmath import InvariantViolation, integer_det
+from .exactmath import InvariantViolation, integer_adjugate
 from .planefan import (
     NoOppositeRay,
     PlaneFan,
@@ -70,7 +72,7 @@ class WedgeComplex:
     facets: tuple[frozenset, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def build_complex(sig: WedgeSignature) -> WedgeComplex:
     """Facets of the wedged polygon: for each polygon edge {i, i+1}, all
     copies of i and i+1 together with all-but-one copies of every other
@@ -129,7 +131,7 @@ def fan_from_matrix(mat: CharMatrix) -> PlaneFan:
     return PlaneFan(tuple((mat.column(l)[0], mat.column(l)[1]) for l in order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def shift(fan: PlaneFan, color: int, e: int) -> PlaneFan:
     """Shift along the line through ray `color` and its opposite.
 
@@ -170,6 +172,11 @@ class Puzzle:
     def assignment(self) -> dict:
         """The fan at every vertex of G(J), by shifted_assignment."""
         return shifted_assignment(self.sig, self.base, self.offsets)
+
+    @cached_property
+    def matrix(self) -> CharMatrix:
+        """The standard-form characteristic matrix, by assemble_matrix."""
+        return assemble_matrix(self)
 
 
 def gj_vertices(sig: WedgeSignature):
@@ -279,19 +286,51 @@ def project_to_vertex(mat: CharMatrix, alpha) -> PlaneFan:
     return fan_from_matrix(mat)
 
 
-def check_nonsingular(mat: CharMatrix, cx: WedgeComplex) -> bool:
-    """True iff every facet minor of the matrix is +-1."""
+@dataclass(frozen=True)
+class FacetTable:
+    """Each facet's labels, sorted, with the (adjugate, determinant) of its
+    generator matrix: the matrix whose columns are the facet's generators in
+    label order, None when it is singular or not square.  Iterating over a
+    table gives its facets."""
+
+    facets: tuple[tuple, ...]
+    inverses: tuple[Optional[tuple[list[list[int]], int]], ...]
+
+    def __iter__(self):
+        return iter(self.facets)
+
+    @property
+    def unimodular(self) -> bool:
+        """Whether every facet minor is +-1."""
+        return all(inv is not None and abs(inv[1]) == 1 for inv in self.inverses)
+
+
+def facet_table(generators: dict, facets) -> FacetTable:
+    """The FacetTable of label sets over labeled integer generators, one
+    integer_adjugate per facet."""
+    n = len(next(iter(generators.values())))
+    keys = []
+    inverses = []
+    for facet in facets:
+        labs = tuple(sorted(facet))
+        keys.append(labs)
+        inverses.append(
+            integer_adjugate([[generators[lab][c] for lab in labs] for c in range(n)])
+            if len(labs) == n else None)
+    return FacetTable(tuple(keys), tuple(inverses))
+
+
+def check_labels(mat: CharMatrix, cx: WedgeComplex) -> None:
+    """Raise LabelMismatch unless the matrix has one column per vertex of cx."""
     if set(mat.labels) != set(cx.labels):
         raise LabelMismatch("matrix labels do not match the complex")
-    col = {lab: idx for idx, lab in enumerate(mat.labels)}
-    for facet in cx.facets:
-        idxs = sorted(col[lab] for lab in facet)
-        if len(idxs) != mat.n:
-            return False
-        minor = [[mat.rows[r][c] for c in idxs] for r in range(mat.n)]
-        if abs(integer_det(minor)) != 1:
-            return False
-    return True
+
+
+def check_nonsingular(mat: CharMatrix, cx: WedgeComplex) -> bool:
+    """True iff every facet minor of the matrix is +-1."""
+    check_labels(mat, cx)
+    gens = {lab: mat.column(lab) for lab in mat.labels}
+    return facet_table(gens, cx.facets).unimodular
 
 
 def validate_puzzle(p: Puzzle) -> bool:
@@ -321,7 +360,7 @@ def is_realizable(p: Puzzle) -> bool:
     relabelings and the basis change of the canonical key, so one
     representative decides it for its whole class.
     """
-    mat = assemble_matrix(p)
+    mat = p.matrix
     for alpha in gj_vertices(p.sig):
         if sum(k > 1 for k in alpha) >= 2 and \
                 project_to_vertex(mat, alpha) != p.assignment[alpha]:

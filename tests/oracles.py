@@ -8,7 +8,11 @@ The feasibility engine is checked against the earlier simplex whose
 objective row was kept in Fractions (in the same shift-column layout), the
 row-generated coface intersection against one solve of its whole strict
 system, kernel_basis against a Fraction row reduction, and
-kernel_with_ones against the greedy rank loop it replaced.  The puzzle classes are checked against a canonical key that tries every
+kernel_with_ones against the greedy rank loop it replaced.  The facet
+table is checked against one integer_det per facet minor, and the coface
+functionals it gives by Gale duality against one barycentric adjugate per
+coface, the route s_sigma took through relint_intersection before.  The
+puzzle classes are checked against a canonical key that tries every
 copy permutation, an enumeration over every ordered offset tuple, and the
 offset-multiset enumeration that checked every square of G(J) of every
 candidate for realizability, where the library checks each class once.
@@ -37,8 +41,18 @@ from toricwedge.exactmath import (
     verify_result,
 )
 from toricwedge.planefan import NoOppositeRay, PlaneFan, det2, enumerate_fans, opposite_position
-from toricwedge.shephard import _fan_data, _validated, coface_indices, s_sigma, shephard_diagram
+from toricwedge.shephard import (
+    PolytopalityCertificate,
+    _coface_functionals,
+    _facet_table,
+    _fan_data,
+    _validated,
+    coface_indices,
+    s_sigma,
+    shephard_diagram,
+)
 from toricwedge.wedgepuzzle import (
+    LabelMismatch,
     WedgeSignature,
     _dihedral_maps,
     _transform_fan,
@@ -364,6 +378,12 @@ def assert_relint_certificate(families, dim, res):
                    for c in range(dim))
 
 
+def coface_families(diagram, facets):
+    """The diagram points of each facet's coface, in label order."""
+    return [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
+            for f in facets]
+
+
 def check_shephard_against_reference(obj, cx=None):
     """Shephard verdict of obj from the library's s_sigma, asserted equal to
     the one-shot reference's, with a feasible certificate re-verified by
@@ -371,8 +391,7 @@ def check_shephard_against_reference(obj, cx=None):
     cx = _validated(obj, cx)
     diagram = shephard_diagram(obj, cx)
     _, _, facets = _fan_data(obj, cx)
-    families = [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
-                for f in facets]
+    families = coface_families(diagram, facets)
     cert = s_sigma(diagram, facets)
     ok = cert.kind == "interior-point"
     ref = reference_relint_intersection(families, diagram.ambient_dim)
@@ -382,6 +401,68 @@ def check_shephard_against_reference(obj, cx=None):
         assert_relint_certificate(families, diagram.ambient_dim,
                                   FeasibilityResult(True, cert.point, cert.slack, bary))
     return ok
+
+
+def reference_check_nonsingular(mat, cx) -> bool:
+    """True iff every facet minor of the matrix is +-1, one integer_det per
+    facet: the minor check before the facet table."""
+    if set(mat.labels) != set(cx.labels):
+        raise LabelMismatch("matrix labels do not match the complex")
+    col = {lab: idx for idx, lab in enumerate(mat.labels)}
+    for facet in cx.facets:
+        idxs = sorted(col[lab] for lab in facet)
+        if len(idxs) != mat.n:
+            return False
+        minor = [[mat.rows[r][c] for c in idxs] for r in range(mat.n)]
+        if abs(integer_det(minor)) != 1:
+            return False
+    return True
+
+
+def reference_s_sigma(diagram, facets):
+    """s_sigma before the facet table: the coface point families go to
+    relint_intersection, which inverts one barycentric matrix per coface."""
+    res = relint_intersection(coface_families(diagram, facets),
+                              dimension=diagram.ambient_dim)
+    if not res.feasible:
+        return PolytopalityCertificate(kind="empty-witness")
+    bary = {tuple(sorted(f)): lam for f, lam in zip(facets, res.barycentric)}
+    return PolytopalityCertificate(
+        kind="interior-point", point=res.witness, barycentric=bary, slack=res.slack)
+
+
+def _as_rationals(simplex):
+    rows, factor = simplex
+    return [tuple(factor * v for v in row) for row in rows]
+
+
+def check_facet_table_against_reference(obj, cx=None):
+    """The facet table and the Gale functionals of a valid input against the
+    routes they replaced: every facet determinant equals integer_det of its
+    minor, every coface functional equals the one _simplex_functionals
+    computes from the coface's points, exactly as rationals, and s_sigma
+    gives the certificate reference_s_sigma gives.  Returns the number of
+    coface functionals compared."""
+    cx = _validated(obj, cx)
+    table = _facet_table(obj, cx)
+    _, gens, facets = _fan_data(obj, cx)
+    assert list(table) == [tuple(sorted(f)) for f in facets]
+    if cx is not None:
+        assert check_nonsingular(obj, cx) and reference_check_nonsingular(obj, cx)
+    n = len(next(iter(gens.values())))
+    for facet, (_, det) in zip(table.facets, table.inverses):
+        assert det == integer_det([[gens[lab][c] for lab in facet] for c in range(n)])
+    diagram = shephard_diagram(obj, cx)
+    gale = _coface_functionals(diagram, table)
+    assert gale is not None, "the Gale functionals do not apply to a valid input"
+    compared = 0
+    for simplex, family in zip(gale, coface_families(diagram, facets)):
+        want = _as_rationals(_simplex_functionals(family))
+        assert _as_rationals(simplex) == want, "coface functionals differ"
+        compared += len(want)
+    assert s_sigma(diagram, table) == reference_s_sigma(diagram, facets), \
+        "Shephard certificate differs from the reference's"
+    return compared
 
 
 def fourier_motzkin_feasible(system) -> bool:
@@ -611,6 +692,10 @@ class AssignedPuzzle(NamedTuple):
                   for k in range(2, j + 1))
             for i, j in enumerate(self.sig.J, start=1))
 
+    @property
+    def matrix(self):
+        return assemble_matrix(self)
+
 
 def offset_candidates(sig, base_depth, e_bound, draw):
     """Every (base, offsets, assignment) of the enumeration loop: bases from
@@ -746,7 +831,7 @@ def realizable_square(fans, colors, params) -> bool:
         ct = alpha[t - 1]
         assignment[alpha] = (f00, f10, f01, f11)[(ci - 1) + 2 * (ct - 1)]
     mat = assemble_matrix(AssignedPuzzle(sig, assignment))
-    if not check_nonsingular(mat, build_complex(sig)):
+    if not reference_check_nonsingular(mat, build_complex(sig)):
         return False
     for alpha in gj_vertices(sig):
         ci = alpha[i - 1]

@@ -4,9 +4,10 @@ One test per criterion, each printing a PASS/FAIL line (run with -s to see
 them on a green run).  Shared corpora are built once per session: the plane
 fan corpus (criteria 2, 3, 9) and the full wedge-classification sweep over
 m in {4,5,6}, sum(J) <= m+3, base depth 3, shift bound 3 (criteria 4-7).
-Two more slow tests compare the sweep's classes with the enumeration that
-checked every square of every candidate, and its Shephard verdicts with one
-solve of the whole coface system.
+Three more slow tests compare the sweep's classes with the enumeration that
+checked every square of every candidate, its Shephard verdicts with one
+solve of the whole coface system, and its facet tables and Gale coface
+functionals with one determinant per facet and one adjugate per coface.
 
 Certification verdicts are computed once per equivalence class across
 signatures (classes over relabeled signatures share canonical keys); a
@@ -63,6 +64,7 @@ from toricwedge.wedgepuzzle import (
     signature,
 )
 from oracles import (
+    check_facet_table_against_reference,
     check_shephard_against_reference,
     fourier_motzkin_feasible,
     gj_cubes,
@@ -350,6 +352,22 @@ def test_sweep_shephard_verdicts_match_reference(sweep):
                     f"Shephard verdict differs from the reference over {sig}"
                 n += 1
     assert n > 0
+
+
+@pytest.mark.slow
+def test_sweep_facet_tables_match_reference(sweep):
+    """On every class of every sweep signature, the facet table's
+    determinants equal one integer_det per facet, each Gale coface
+    functional equals the one adjugate of its coface gives, exactly, and
+    the Shephard certificate is the one the per-coface route gives."""
+    per_sig, _ = sweep
+    assert len(per_sig) == 175
+    compared = 0
+    for sig, records in per_sig.items():
+        cx = build_complex(sig)
+        for rec in records:
+            compared += check_facet_table_against_reference(rec["puzzle"].matrix, cx)
+    assert compared > 0
 
 
 # signatures with two or more wedged colours, compared at shift bound 5 too

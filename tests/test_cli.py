@@ -245,6 +245,22 @@ class TestEntryPoint:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_no_unbounded_caches_in_package(self):
+        # every lru_cache in the package has a fixed bound, so that a long
+        # process cannot grow without limit
+        def unbounded(node):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) != "lru_cache":
+                return False
+            maxsize = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            return bool(maxsize) and isinstance(maxsize[0], ast.Constant) \
+                and maxsize[0].value is None
+
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(toricwedge.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and unbounded(node)]
+        assert found == []
+
 
 SMALL = st.integers(-3, 3)
 DRAWN_FANS = st.lists(st.lists(SMALL, min_size=2, max_size=2), min_size=3, max_size=6)
@@ -331,3 +347,36 @@ def test_unwritable_output_exits_2(args, tmp_path, capsys, monkeypatch):
     assert main([a.format(fan=fan) for a in args] + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot write output:") and err.count("\n") == 1
+
+
+def columns(n, labelled):
+    return {"n": n, "cols": [{"label": lab, "v": v} for lab, v in labelled]}
+
+
+# inputs the facet table rejects, with the one stderr line each gives
+FACET_TABLE_FAILURES = {
+    "singular": (columns(2, [("1_1", [1, 0]), ("2_1", [0, 1]), ("3_1", [-1, 0])]),
+                 "some facet minor is not +-1"),
+    "duplicate label": (columns(2, [("1_1", [1, 0]), ("1_1", [0, 1]), ("2_1", [0, 1]),
+                                    ("3_1", [-1, -1])]),
+                        "matrix labels do not match the complex"),
+    "label gap": (columns(3, [("1_1", [1, 0, -1]), ("1_3", [0, 0, 1]), ("2_1", [0, 1, 0]),
+                              ("3_1", [-1, -1, 0])]),
+                  "matrix labels do not match the complex"),
+    # three rows over a triangle, whose facets have two columns
+    "wrong facet size": (columns(3, [("1_1", [1, 0, 0]), ("2_1", [0, 1, 0]),
+                                     ("3_1", [-1, -1, 1])]),
+                         "some facet minor is not +-1"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "shephard"])
+@pytest.mark.parametrize("case", sorted(FACET_TABLE_FAILURES))
+def test_facet_table_failures_exit_2(command, case, tmp_path):
+    data, message = FACET_TABLE_FAILURES[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    proc = run_python("-m", "toricwedge", command, "--in", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"invalid input: {message}\n"

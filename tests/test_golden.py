@@ -6,8 +6,10 @@ of the facet and coface solves, so any change to `classify`, `check` or
 them and say why in CHANGES.md.  The pins of 2,1,2,1,1, 2,2,1,1,1 and the
 wedge matrix were re-recorded when the Shephard LP moved to row generation
 and a shift column, which changes Shephard witnesses and barycentric
-coordinates.  The last two tests compare every Shephard verdict on these
-inputs with one solve of the whole coface system.
+coordinates.  Two tests compare every Shephard verdict on these inputs
+with one solve of the whole coface system, and two more compare the facet
+table and its Gale coface functionals with the per-facet determinants and
+per-coface adjugates they replaced.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from toricwedge.wedgepuzzle import (
     matrix_from_dict,
     signature,
 )
-from oracles import check_shephard_against_reference
+from oracles import check_facet_table_against_reference, check_shephard_against_reference
 
 PENTAGON = {"rays": [[1, 0], [0, 1], [-1, 1], [-1, 0], [2, -1]]}
 TEN_RAY_FAN = {"rays": [[1, 0], [0, 1], [-1, 3], [-1, 2], [-1, 1], [0, -1],
@@ -92,3 +94,19 @@ def test_classify_shephard_verdicts_match_reference(j):
     cx = build_complex(sig)
     for puzzle in enumerate_puzzles(sig, 2, 2):
         assert check_shephard_against_reference(assemble_matrix(puzzle), cx)
+
+
+@pytest.mark.parametrize("j", sorted(GOLDEN_CLASSIFY))
+def test_classify_facet_tables_match_reference(j):
+    sig = signature(5, tuple(map(int, j.split(","))))
+    cx = build_complex(sig)
+    puzzles = enumerate_puzzles(sig, 2, 2)
+    compared = sum(check_facet_table_against_reference(p.matrix, cx) for p in puzzles)
+    assert puzzles and compared > 0
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_input_facet_table_matches_reference(name):
+    data = INPUTS[name]
+    obj = fan_from_dict(data) if "rays" in data else matrix_from_dict(data)
+    assert check_facet_table_against_reference(obj) > 0

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricwedge import shephard
 from toricwedge.exactmath import QMatrix, relint_intersection
@@ -37,13 +39,21 @@ from toricwedge.shephard import (
 )
 from toricwedge.wedgepuzzle import (
     CharMatrix,
+    LabelMismatch,
     Puzzle,
     WedgeSignature,
     assemble_matrix,
     build_complex,
+    check_nonsingular,
+    facet_table,
     signature,
 )
-from oracles import check_shephard_against_reference
+from oracles import (
+    check_facet_table_against_reference,
+    check_shephard_against_reference,
+    reference_check_nonsingular,
+    reference_s_sigma,
+)
 
 
 def pentagon(d):
@@ -250,11 +260,14 @@ class TestOracles:
             assert c1.point is not None and c2.heights is not None
 
     def test_certify_validates_once(self, monkeypatch):
+        # one facet table per object: the minor check, the coface
+        # functionals and the support walls all read the same build
         calls = []
-        real = shephard.check_nonsingular
-        monkeypatch.setattr(shephard, "check_nonsingular",
+        real = shephard.facet_table
+        monkeypatch.setattr(shephard, "facet_table",
                             lambda *args: calls.append(args) or real(*args))
         shephard._validated.cache_clear()
+        shephard._facet_table.cache_clear()
         for e in (-2, 1):
             mat = assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e))
             verdict, c1, c2 = certify(mat)
@@ -267,6 +280,70 @@ class TestOracles:
             certify(CharMatrix(((1, 1), (2, 1), (3, 1)), ((1, 0, -1), (0, 1, -2))))
         with pytest.raises(NotComplete):
             certify(CharMatrix(((1, 1), (2, 1), (3, 1)), ((1, 0, -1), (0, 1, 1))))
+
+
+@st.composite
+def drawn_matrices(draw):
+    """A labeled matrix over some P_m(J): of the facet size or of another,
+    and with a duplicated label or a gap in a colour's copies or neither."""
+    m = draw(st.integers(3, 5))
+    J = draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+    n = draw(st.one_of(st.just(sum(J) - m + 2), st.integers(1, 4)))
+    labels = [(i, k) for i in range(1, m + 1) for k in range(1, J[i - 1] + 1)]
+    fault = draw(st.sampled_from(("none", "duplicate", "gap")))
+    if fault == "duplicate":
+        labels.append(labels[0])
+    elif fault == "gap":
+        labels[-1] = (m, J[-1] + 1)
+    cols = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in labels]
+    return CharMatrix(tuple(labels), tuple(tuple(c[r] for c in cols) for r in range(n)))
+
+
+class TestFacetTable:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_matrices())
+    def test_raises_where_the_minor_check_fails(self, mat):
+        # check_nonsingular and the facet table fail where one integer_det
+        # per facet does: LabelMismatch raised, or a minor other than +-1
+        cx = build_complex(mat.signature_of())
+        shephard._facet_table.cache_clear()
+        try:
+            want = reference_check_nonsingular(mat, cx)
+        except LabelMismatch:
+            for check in (check_nonsingular, shephard._facet_table):
+                with pytest.raises(LabelMismatch):
+                    check(mat, cx)
+            return
+        assert check_nonsingular(mat, cx) == want
+        if want:
+            assert shephard._facet_table(mat, cx).unimodular
+        else:
+            with pytest.raises(SingularInput):
+                shephard._facet_table(mat, cx)
+
+    def test_label_sets_and_table_give_one_certificate(self):
+        fan = pentagon(2)
+        diag = shephard_diagram(fan)
+        table = shephard._facet_table(fan, None)
+        assert s_sigma(diag, pentagon_facets()) == s_sigma(diag, table) == \
+            reference_s_sigma(diag, pentagon_facets())
+
+    def test_diagram_not_dual_to_its_generators_takes_the_general_route(self):
+        # move one point of the paper's diagram: the cofaces are still full
+        # simplices, but no longer a Gale dual of the weighted generators
+        diag = paper_diagram(2)
+        moved = ShephardDiagram(diag.labels, {**diag.points, 5: (Q(0), Q(2))},
+                                diag.weights, diag.generators, 2)
+        table = facet_table(moved.generators, pentagon_facets())
+        assert shephard._coface_functionals(diag, table) is not None
+        assert shephard._coface_functionals(moved, table) is None
+        assert s_sigma(moved, pentagon_facets()) == reference_s_sigma(moved, pentagon_facets())
+
+    def test_paper_diagrams_match_reference(self):
+        for d in range(6):
+            diag = paper_diagram(d)
+            assert s_sigma(diag, pentagon_facets()) == \
+                reference_s_sigma(diag, pentagon_facets())
 
 
 class TestRadon:
@@ -432,6 +509,11 @@ class TestAgainstOneShotReference:
     def test_pool_sample(self):
         pool = ten_ray_pool()
         assert all(check_shephard_against_reference(fan) for fan in pool[::40])
+
+    def test_pool_sample_facet_tables(self):
+        # the Gale coface functionals against one adjugate per coface
+        pool = ten_ray_pool()
+        assert all(check_facet_table_against_reference(fan) > 0 for fan in pool[::40])
 
     @pytest.mark.slow
     def test_whole_pool(self):
