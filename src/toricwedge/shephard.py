@@ -42,8 +42,8 @@ from .wedgepuzzle import (
     WedgeComplex,
     WedgeSignature,
     build_complex,
-    check_labels,
     facet_table,
+    matrix_facet_table,
 )
 
 Q = Fraction
@@ -260,9 +260,10 @@ def _facet_table(obj, cx) -> FacetTable:
     LabelMismatch or SingularInput where check_nonsingular would raise or
     return False."""
     if isinstance(obj, CharMatrix):
-        check_labels(obj, cx)
-    _, gens, facets = _fan_data(obj, cx)
-    table = facet_table(gens, facets)
+        table = matrix_facet_table(obj, cx)
+    else:
+        _, gens, facets = _fan_data(obj, cx)
+        table = facet_table(gens, facets)
     if not table.unimodular:
         raise SingularInput("some facet minor is not +-1")
     return table

@@ -320,17 +320,20 @@ def facet_table(generators: dict, facets) -> FacetTable:
     return FacetTable(tuple(keys), tuple(inverses))
 
 
-def check_labels(mat: CharMatrix, cx: WedgeComplex) -> None:
-    """Raise LabelMismatch unless the matrix has one column per vertex of cx."""
+@lru_cache(maxsize=1)
+def matrix_facet_table(mat: CharMatrix, cx: WedgeComplex) -> FacetTable:
+    """The FacetTable of a matrix over the facets of cx; raises
+    LabelMismatch unless the matrix has one column per vertex of cx.  One
+    entry is cached, so the minor check and the certification of the same
+    matrix read one build."""
     if set(mat.labels) != set(cx.labels):
         raise LabelMismatch("matrix labels do not match the complex")
+    return facet_table({lab: mat.column(lab) for lab in mat.labels}, cx.facets)
 
 
 def check_nonsingular(mat: CharMatrix, cx: WedgeComplex) -> bool:
     """True iff every facet minor of the matrix is +-1."""
-    check_labels(mat, cx)
-    gens = {lab: mat.column(lab) for lab in mat.labels}
-    return facet_table(gens, cx.facets).unimodular
+    return matrix_facet_table(mat, cx).unimodular
 
 
 def validate_puzzle(p: Puzzle) -> bool:

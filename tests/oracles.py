@@ -33,7 +33,9 @@ from toricwedge.exactmath import (
     InvariantViolation,
     QMatrix,
     StrictLinearSystem,
+    _relint_of_simplices,
     _simplex_functionals,
+    clear_denominators,
     integer_det,
     make_primitive,
     relint_intersection,
@@ -347,35 +349,47 @@ def reference_relint_intersection(families, dimension=None):
     full = simplex_strict_system(families, dim)
     if full is None:
         return relint_intersection(families, dimension)
-    sys, simplices = full
+    return solve_strict_system(*full, dim)
+
+
+def solve_strict_system(sys, simplices, dim):
+    """One solve of a whole strict system from simplex_strict_system, with
+    each family's barycentric tuple from its functionals at the witness."""
     res = strict_feasible(sys)
     if not res.feasible:
         return res
-    x = res.witness
-    bary = tuple(tuple(factor * (sum((r[c] * x[c] for c in range(dim)), Q(0)) + r[dim])
+    xs, scale = clear_denominators(res.witness)
+    bary = tuple(tuple(factor * Q(sum(r[c] * xs[c] for c in range(dim)) + r[dim] * scale, scale)
                        for r in rows)
                  for rows, factor in simplices)
-    return FeasibilityResult(True, x, res.slack, bary)
+    return FeasibilityResult(True, res.witness, res.slack, bary)
 
 
 def margins(sys, x):
     """b - a.x for every strict row (a, b) of sys."""
-    return [b - sum((ai * xi for ai, xi in zip(a, x)), Q(0)) for a, b in sys.strict]
+    xs, scale = clear_denominators(x)
+    return [Q(b * scale - sum(ai * xi for ai, xi in zip(a, xs)), scale) for a, b in sys.strict]
 
 
-def assert_relint_certificate(families, dim, res):
+def assert_relint_certificate(families, dim, res, sys=None):
     """A feasible relint_intersection result re-verified by substitution: the
-    witness satisfies every row of the whole strict system, the slack is the
-    least margin over all rows, and each barycentric tuple is positive, sums
-    to 1 and reproduces the witness."""
-    sys, _ = simplex_strict_system(families, dim)
+    witness satisfies every row of the whole strict system (sys, built from
+    the families when not given), the slack is the least margin over all
+    rows, and each barycentric tuple is positive, sums to 1 and reproduces
+    the witness."""
+    if sys is None:
+        sys, _ = simplex_strict_system(families, dim)
     assert verify_result(sys, res), "witness fails the whole strict system"
     assert res.slack == min(margins(sys, res.witness)), "slack is not the least margin"
     assert len(res.barycentric) == len(families)
+    xs, xscale = clear_denominators(res.witness)
     for fam, lam in zip(families, res.barycentric):
         assert all(v > 0 for v in lam) and sum(lam) == 1
-        assert all(sum((Q(p[c]) * v for p, v in zip(fam, lam)), Q(0)) == res.witness[c]
-                   for c in range(dim))
+        # sum_p p * lam_p == x, over the common denominators of p, lam and x
+        ps, pscale = clear_denominators([v for p in fam for v in p])
+        ls, lscale = clear_denominators(lam)
+        assert all(sum(ps[k * dim + c] * lv for k, lv in enumerate(ls)) * xscale
+                   == xs[c] * pscale * lscale for c in range(dim))
 
 
 def coface_families(diagram, facets):
@@ -384,22 +398,46 @@ def coface_families(diagram, facets):
             for f in facets]
 
 
+@lru_cache(maxsize=1)
+def library_shephard(obj, cx):
+    """(cx, table, diagram, certificate): the complex, facet table, Shephard
+    diagram and s_sigma certificate the library gives a valid input.  One
+    entry is cached, so the references below, run one after the other on
+    the same object, share them."""
+    cx = _validated(obj, cx)
+    table = _facet_table(obj, cx)
+    diagram = shephard_diagram(obj, cx)
+    return cx, table, diagram, s_sigma(diagram, table)
+
+
+@lru_cache(maxsize=1)
+def reference_cofaces(obj, cx):
+    """(facets, families, system): the facets of a valid input, the points
+    of each facet's coface in library_shephard's diagram, and
+    simplex_strict_system of those families, None when some coface is not a
+    nonsingular full simplex.  One entry is cached, like library_shephard's."""
+    cx, _, diagram, _ = library_shephard(obj, cx)
+    _, _, facets = _fan_data(obj, cx)
+    families = coface_families(diagram, facets)
+    return facets, families, simplex_strict_system(families, diagram.ambient_dim)
+
+
 def check_shephard_against_reference(obj, cx=None):
     """Shephard verdict of obj from the library's s_sigma, asserted equal to
     the one-shot reference's, with a feasible certificate re-verified by
     substitution into the whole strict system."""
-    cx = _validated(obj, cx)
-    diagram = shephard_diagram(obj, cx)
-    _, _, facets = _fan_data(obj, cx)
-    families = coface_families(diagram, facets)
-    cert = s_sigma(diagram, facets)
+    facets, families, full = reference_cofaces(obj, cx)
+    _, _, diagram, cert = library_shephard(obj, cx)
     ok = cert.kind == "interior-point"
-    ref = reference_relint_intersection(families, diagram.ambient_dim)
+    dim = diagram.ambient_dim
+    ref = relint_intersection(families, dim) if full is None else \
+        solve_strict_system(*full, dim)
     assert ok == ref.feasible, f"Shephard verdict {ok} differs from the reference's"
     if ok:
         bary = tuple(cert.barycentric[tuple(sorted(f))] for f in facets)
-        assert_relint_certificate(families, diagram.ambient_dim,
-                                  FeasibilityResult(True, cert.point, cert.slack, bary))
+        assert_relint_certificate(families, dim,
+                                  FeasibilityResult(True, cert.point, cert.slack, bary),
+                                  None if full is None else full[0])
     return ok
 
 
@@ -422,8 +460,12 @@ def reference_check_nonsingular(mat, cx) -> bool:
 def reference_s_sigma(diagram, facets):
     """s_sigma before the facet table: the coface point families go to
     relint_intersection, which inverts one barycentric matrix per coface."""
-    res = relint_intersection(coface_families(diagram, facets),
-                              dimension=diagram.ambient_dim)
+    return _reference_certificate(
+        relint_intersection(coface_families(diagram, facets),
+                            dimension=diagram.ambient_dim), facets)
+
+
+def _reference_certificate(res, facets):
     if not res.feasible:
         return PolytopalityCertificate(kind="empty-witness")
     bary = {tuple(sorted(f)): lam for f, lam in zip(facets, res.barycentric)}
@@ -431,37 +473,47 @@ def reference_s_sigma(diagram, facets):
         kind="interior-point", point=res.witness, barycentric=bary, slack=res.slack)
 
 
-def _as_rationals(simplex):
-    rows, factor = simplex
-    return [tuple(factor * v for v in row) for row in rows]
+def _same_functionals(a, b) -> bool:
+    """Whether two (rows, factor) simplices give the same functionals as
+    rationals: factor_a * row_a == factor_b * row_b, cross-multiplied in
+    integers."""
+    (rows_a, fa), (rows_b, fb) = a, b
+    ka = fa.numerator * fb.denominator
+    kb = fb.numerator * fa.denominator
+    return len(rows_a) == len(rows_b) and all(
+        len(ra) == len(rb) and all(x * ka == y * kb for x, y in zip(ra, rb))
+        for ra, rb in zip(rows_a, rows_b))
 
 
 def check_facet_table_against_reference(obj, cx=None):
     """The facet table and the Gale functionals of a valid input against the
-    routes they replaced: every facet determinant equals integer_det of its
-    minor, every coface functional equals the one _simplex_functionals
-    computes from the coface's points, exactly as rationals, and s_sigma
-    gives the certificate reference_s_sigma gives.  Returns the number of
-    coface functionals compared."""
-    cx = _validated(obj, cx)
-    table = _facet_table(obj, cx)
-    _, gens, facets = _fan_data(obj, cx)
+    routes they replaced: the table is unimodular and every facet
+    determinant equals integer_det of its minor, every coface functional
+    equals the one _simplex_functionals computes from the coface's points,
+    exactly as rationals, and s_sigma gives the certificate that the
+    reference gives from those functionals, as relint_intersection did.
+    Returns the number of coface functionals compared."""
+    facets, _, full = reference_cofaces(obj, cx)
+    cx, table, diagram, cert = library_shephard(obj, cx)
+    _, gens, _ = _fan_data(obj, cx)
     assert list(table) == [tuple(sorted(f)) for f in facets]
+    assert table.unimodular
     if cx is not None:
         assert check_nonsingular(obj, cx) and reference_check_nonsingular(obj, cx)
     n = len(next(iter(gens.values())))
     for facet, (_, det) in zip(table.facets, table.inverses):
         assert det == integer_det([[gens[lab][c] for lab in facet] for c in range(n)])
-    diagram = shephard_diagram(obj, cx)
     gale = _coface_functionals(diagram, table)
     assert gale is not None, "the Gale functionals do not apply to a valid input"
+    assert full is not None, "some coface is not a nonsingular full simplex"
+    wants = full[1]
+    assert len(gale) == len(wants)
     compared = 0
-    for simplex, family in zip(gale, coface_families(diagram, facets)):
-        want = _as_rationals(_simplex_functionals(family))
-        assert _as_rationals(simplex) == want, "coface functionals differ"
-        compared += len(want)
-    assert s_sigma(diagram, table) == reference_s_sigma(diagram, facets), \
-        "Shephard certificate differs from the reference's"
+    for simplex, want in zip(gale, wants):
+        assert _same_functionals(simplex, want), "coface functionals differ"
+        compared += len(want[0])
+    ref = _reference_certificate(_relint_of_simplices(wants, diagram.ambient_dim), facets)
+    assert cert == ref, "Shephard certificate differs from the reference's"
     return compared
 
 

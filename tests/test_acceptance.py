@@ -7,7 +7,9 @@ m in {4,5,6}, sum(J) <= m+3, base depth 3, shift bound 3 (criteria 4-7).
 Three more slow tests compare the sweep's classes with the enumeration that
 checked every square of every candidate, its Shephard verdicts with one
 solve of the whole coface system, and its facet tables and Gale coface
-functionals with one determinant per facet and one adjugate per coface.
+functionals with one determinant per facet and one adjugate per coface;
+the last two read one pass over the sweep that shares each class's
+diagram and certificate between the two references.
 
 Certification verdicts are computed once per equivalence class across
 signatures (classes over relabeled signatures share canonical keys); a
@@ -336,38 +338,63 @@ def test_criterion_7_projection_round_trip(sweep):
     report(7, n > 0, f"{n} projections reproduce the assigned fans exactly")
 
 
+@pytest.fixture(scope="module")
+def sweep_references(sweep):
+    """One pass over the sweep through the two references that replay its
+    Shephard certification, sharing each class's diagram and certificate
+    (oracles.library_shephard caches the last object): the one-shot solve
+    of the whole coface system on every class the sweep certified, and the
+    facet table with its Gale coface functionals on those classes and on
+    the first class of every signature.  Returns, per reference, the number
+    of classes compared, the signatures covered and the assertion failures
+    met, so that each test below fails on its own reference only."""
+    per_sig, _ = sweep
+    runs = {"shephard": [0, set(), []], "facet": [0, set(), []]}
+
+    def run(name, sig, check):
+        counts = runs[name]
+        counts[0] += 1
+        counts[1].add(sig)
+        try:
+            check()
+        except AssertionError as e:
+            counts[2].append(f"{sig}: {e}")
+
+    def same_verdict(mat, cx, want):
+        assert check_shephard_against_reference(mat, cx) == want, \
+            "Shephard verdict differs from the reference"
+
+    for sig, records in per_sig.items():
+        cx = build_complex(sig)
+        for idx, rec in enumerate(records):
+            mat = rec["puzzle"].matrix
+            if not rec["reused"]:
+                run("shephard", sig, lambda: same_verdict(mat, cx, rec["shephard"]))
+            if not rec["reused"] or idx == 0:
+                run("facet", sig, lambda: check_facet_table_against_reference(mat, cx))
+    return runs
+
+
 @pytest.mark.slow
-def test_sweep_shephard_verdicts_match_reference(sweep):
+def test_sweep_shephard_verdicts_match_reference(sweep_references):
     """Row generation gives the verdict of one solve of the whole coface
     system on every class the sweep certified, and its certificate passes
     substitution into every row."""
-    per_sig, _ = sweep
-    n = 0
-    for sig, records in per_sig.items():
-        cx = build_complex(sig)
-        for rec in records:
-            if not rec["reused"]:
-                mat = assemble_matrix(rec["puzzle"])
-                assert check_shephard_against_reference(mat, cx) == rec["shephard"], \
-                    f"Shephard verdict differs from the reference over {sig}"
-                n += 1
+    n, _, failures = sweep_references["shephard"]
+    assert not failures, failures[:5]
     assert n > 0
 
 
 @pytest.mark.slow
-def test_sweep_facet_tables_match_reference(sweep):
-    """On every class of every sweep signature, the facet table's
-    determinants equal one integer_det per facet, each Gale coface
-    functional equals the one adjugate of its coface gives, exactly, and
-    the Shephard certificate is the one the per-coface route gives."""
-    per_sig, _ = sweep
-    assert len(per_sig) == 175
-    compared = 0
-    for sig, records in per_sig.items():
-        cx = build_complex(sig)
-        for rec in records:
-            compared += check_facet_table_against_reference(rec["puzzle"].matrix, cx)
-    assert compared > 0
+def test_sweep_facet_tables_match_reference(sweep_references):
+    """On every class the sweep certified and the first class of each of
+    the 175 signatures, the facet table's determinants equal one
+    integer_det per facet, each Gale coface functional equals the one
+    adjugate of its coface gives, exactly, and the Shephard certificate is
+    the one the per-coface route gives."""
+    n, covered, failures = sweep_references["facet"]
+    assert not failures, failures[:5]
+    assert n > 0 and len(covered) == 175
 
 
 # signatures with two or more wedged colours, compared at shift bound 5 too

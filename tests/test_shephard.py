@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricwedge import shephard
+from toricwedge import shephard, wedgepuzzle
 from toricwedge.exactmath import QMatrix, relint_intersection
 from toricwedge.planefan import (
     NoOppositeRay,
@@ -263,11 +263,13 @@ class TestOracles:
         # one facet table per object: the minor check, the coface
         # functionals and the support walls all read the same build
         calls = []
-        real = shephard.facet_table
-        monkeypatch.setattr(shephard, "facet_table",
-                            lambda *args: calls.append(args) or real(*args))
+        for module in (shephard, wedgepuzzle):
+            monkeypatch.setattr(module, "facet_table",
+                                lambda *args, real=module.facet_table:
+                                calls.append(args) or real(*args))
         shephard._validated.cache_clear()
         shephard._facet_table.cache_clear()
+        wedgepuzzle.matrix_facet_table.cache_clear()
         for e in (-2, 1):
             mat = assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e))
             verdict, c1, c2 = certify(mat)
