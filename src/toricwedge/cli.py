@@ -17,7 +17,6 @@ from fractions import Fraction
 from .exactmath import InvariantViolation
 from .planefan import (
     FanError,
-    cp2_fan,
     fan_from_dict,
     fan_to_dict,
     hirzebruch_fan,
@@ -28,19 +27,16 @@ from .planefan import (
 from .shephard import (
     NotComplete,
     SingularInput,
-    _facet_table,
-    _validated,
     certify,
     coface_indices,
+    prepare,
     s_sigma,
     shephard_diagram,
 )
 from .wedgepuzzle import (
     InvalidPuzzle,
-    build_complex,
     enumerate_puzzles,
     matrix_from_dict,
-    matrix_from_fan,
     matrix_to_dict,
     puzzle_to_dict,
     signature,
@@ -192,11 +188,9 @@ def cmd_reduce(args) -> int:
 
 def cmd_shephard(args) -> int:
     try:
-        obj = load_input(args.infile)
-        cx = _validated(obj, None)
-        facets = _facet_table(obj, cx)
-        diagram = shephard_diagram(obj, cx)
-        cert = s_sigma(diagram, facets)
+        prep = prepare(load_input(args.infile))
+        diagram = shephard_diagram(prep)
+        cert = s_sigma(diagram, prep.table)
     except (FanError, InvalidPuzzle, SingularInput, NotComplete, ValueError,
             KeyError, json.JSONDecodeError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
@@ -207,7 +201,7 @@ def cmd_shephard(args) -> int:
         "points": {_label_str(l): [frac_str(v) for v in p]
                    for l, p in sorted(diagram.points.items())},
         "cofaces": {_facet_str(f): [_label_str(l) for l in sorted(coface_indices(diagram, f))]
-                    for f in facets},
+                    for f in prep.table},
         "witness": [frac_str(v) for v in cert.point] if cert.kind == "interior-point" else None,
     }
     _write(out, args.out)
@@ -216,13 +210,27 @@ def cmd_shephard(args) -> int:
 
 def _certify(puzzle):
     mat = puzzle.matrix
-    verdict, cert1, cert2 = certify(mat, build_complex(puzzle.sig))
+    verdict, cert1, cert2 = certify(mat)
     return {
         "puzzle": puzzle_to_dict(puzzle),
         "matrix": matrix_to_dict(mat),
         "verdict": verdict,
         "certificate": certificate_to_dict(verdict, cert1, cert2),
     }
+
+
+def _workers(args) -> int:
+    """--workers, or TORICWEDGE_WORKERS when the flag is not given, or 1."""
+    if args.workers is not None:
+        return args.workers
+    text = os.environ.get("TORICWEDGE_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TORICWEDGE_WORKERS must be a positive integer, got {text!r}")
+    return workers
 
 
 def cmd_classify(args) -> int:
@@ -232,13 +240,13 @@ def cmd_classify(args) -> int:
         for flag, value in (("--base-depth", args.base_depth), ("--e-bound", args.e_bound)):
             if value < 0:
                 raise ValueError(f"{flag} must be non-negative, got {value}")
+        workers = _workers(args)
     except (ValueError, TypeError) as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
     # open --out before the run, so that an unwritable path costs no work
     with _open_out(args.out) as fh:
         puzzles = enumerate_puzzles(sig, args.base_depth, args.e_bound)
-        workers = args.workers
         if workers > 1 and len(puzzles) > 1:
             import multiprocessing
             with multiprocessing.Pool(workers) as pool:
@@ -269,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "certify them projective with exact rational certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_workers = int(os.environ.get("TORICWEDGE_WORKERS", "1"))
-
     p = sub.add_parser("check", help="certify one fan or characteristic matrix")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
@@ -281,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", required=True, help="comma-separated multiplicities j_1,...,j_m")
     p.add_argument("--base-depth", type=int, default=3)
     p.add_argument("--e-bound", type=int, default=3)
-    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: TORICWEDGE_WORKERS, else 1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
 

@@ -10,21 +10,17 @@ column mu >= 0.
 The loops run on integers: integer constraint rows stay integers, the
 simplex tableau and its objective row are integer, row reduction is
 fraction-free, and slack and barycentric coordinates are computed over one
-common denominator.  Fraction remains at the API boundary (QMatrix entries
+common denominator.  Fraction remains at the API boundary: QMatrix entries
 and the kernel bases returned, non-integer constraint entries, and the
-witness, slack and barycentric tuples of a result), and in the general
-relint encoding, whose rows hold the Fraction points.
+witness, slack and barycentric tuples of a result.
 
 Facet and coface matrices are inverted one way only: integer_adjugate, a
 fraction-free Gauss-Jordan elimination that returns the integer adjugate and
-the determinant together.  relint_intersection has two encodings: integer
-barycentric functionals from that adjugate when every family is a
-nonsingular full simplex, solved by row generation (a few functionals per
-family, the violated ones added until the witness satisfies all of them),
-and explicit barycentric variables otherwise.  The row-generation solver,
-_relint_of_simplices, also takes functionals computed elsewhere: the
-Shephard oracle derives its coface functionals by Gale duality from the
-facet adjugates.
+the determinant together.  The relative interiors of full simplices are
+intersected by row generation (_relint_of_simplices): a few barycentric
+functionals per simplex, the violated ones added until the witness
+satisfies all of them.  It takes the functionals of _simplex_functionals or
+those the Shephard oracle derives by Gale duality from the facet adjugates.
 """
 
 from __future__ import annotations
@@ -43,10 +39,6 @@ class DimensionMismatch(ValueError):
 
 
 class NotSquare(ValueError):
-    pass
-
-
-class EmptyFamily(ValueError):
     pass
 
 
@@ -204,31 +196,6 @@ def kernel_with_ones(m: QMatrix) -> QMatrix:
     # and ones are a basis of the kernel.
     k = kern.cols
     return QMatrix.from_rows([[*r[:k - 1], Q(1)] for r in kern.entries], cols=k)
-
-
-def integer_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix via fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise NotSquare("matrix is not square")
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def integer_adjugate(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
@@ -526,7 +493,9 @@ def _simplex_functionals(fam):
 
 
 def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
-    """relint_intersection over full simplices, by row generation.
+    """Whether the relative interiors of full simplices intersect, given as
+    the (rows, factor) functionals of _simplex_functionals, by row
+    generation.
 
     Each functional lambda_j > 0 is one strict row, deduplicated across
     families.  The LP starts from the first row of every family.  After each
@@ -570,77 +539,3 @@ def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
         for fam_rows, factor in simplices)
     slack = Q(min(margins), scale) if rows else res.slack
     return FeasibilityResult(True, res.witness, slack, bary)
-
-
-def relint_intersection(families: Sequence[Sequence[Sequence]], dimension: Optional[int] = None
-                        ) -> FeasibilityResult:
-    """Decide whether the relative interiors of the convex hulls intersect.
-
-    Uses x in relint conv(S) iff x is a strictly positive convex combination
-    of S.  Two encodings, chosen by the shape of the input: when every family
-    is a nonsingular full simplex (dim + 1 affinely independent points), its
-    barycentric weights are integer linear functionals of x, taken from one
-    adjugate, and the program has x alone as variables, its rows generated
-    as the witness violates them (_relint_of_simplices); otherwise the
-    weights stay as explicit variables next to x.  Returns the witness x and
-    one barycentric tuple per family, in input order, each computed from all
-    of that family's functionals.
-    """
-    fams = [tuple(_qvec(p) for p in fam) for fam in families]
-    for fam in fams:
-        if not fam:
-            raise EmptyFamily("every family must contain at least one point")
-    dim = len(fams[0][0]) if dimension is None else dimension
-    for fam in fams:
-        if any(len(p) != dim for p in fam):
-            raise DimensionMismatch("families live in different ambient dimensions")
-
-    if all(len(fam) == dim + 1 for fam in fams):
-        simplices = [_simplex_functionals(fam) for fam in fams]
-        if None not in simplices:
-            return _relint_of_simplices(simplices, dim)
-
-    # general encoding: variables (x, all lambda)
-    sizes = [len(fam) for fam in fams]
-    offsets = []
-    total = dim
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    equalities = []
-    strict = []
-    for fi, fam in enumerate(fams):
-        off = offsets[fi]
-        for c in range(dim):
-            row = [Q(0)] * total
-            row[c] = Q(-1)
-            for j, p in enumerate(fam):
-                row[off + j] = p[c]
-            equalities.append((row, Q(0)))
-        row = [Q(0)] * total
-        for j in range(len(fam)):
-            row[off + j] = Q(1)
-        equalities.append((row, Q(1)))
-        for j in range(len(fam)):
-            row = [Q(0)] * total
-            row[off + j] = Q(-1)
-            strict.append((row, Q(0)))
-    res = strict_feasible(StrictLinearSystem.build(total, equalities, (), strict))
-    if not res.feasible:
-        return res
-    w = res.witness
-    bary = tuple(tuple(w[offsets[fi] + j] for j in range(sizes[fi])) for fi in range(len(fams)))
-    return FeasibilityResult(True, w[:dim], res.slack, bary)
-
-
-def verify_result(sys: StrictLinearSystem, res: FeasibilityResult) -> bool:
-    """Re-substitute a feasibility witness; used by tests and certificates."""
-    if not res.feasible:
-        return res.witness is None
-    x = res.witness
-    dot = lambda a: sum((ai * xi for ai, xi in zip(a, x)), Q(0))
-    if any(dot(a) != b for a, b in sys.equalities):
-        return False
-    if any(dot(a) > b for a, b in sys.weak):
-        return False
-    return all(b - dot(a) >= res.slack > 0 for a, b in sys.strict)

@@ -6,8 +6,9 @@ basis with a trailing ones column.  The fan is strongly polytopal iff the
 relative interiors of all cofaces of maximal cones intersect; an independent
 classical oracle asks instead for strictly convex piecewise-linear support
 heights.  Both run on the exact LP engine, so every verdict carries a
-re-checkable witness.  Each certified object's facet table is built once and
-serves the minor check, the support walls and, by Gale duality, the
+re-checkable witness.  prepare validates an input once and returns what both
+oracles read: its labels, generators, positive relation and facet table,
+which serves the minor check, the support walls and, by Gale duality, the
 barycentric functionals of the cofaces.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul as _mul
 from typing import Optional
@@ -24,27 +24,15 @@ from .exactmath import (
     InvariantViolation,
     QMatrix,
     StrictLinearSystem,
-    _qvec,
     _relint_of_simplices,
     _simplex_functionals,
     clear_denominators,
-    kernel_basis,
     kernel_with_ones,
     make_primitive,
-    relint_intersection,
     strict_feasible,
 )
-from .planefan import NoOppositeRay, PlaneFan, validate
-from .wedgepuzzle import (
-    CharMatrix,
-    FacetTable,
-    NotWedged,
-    WedgeComplex,
-    WedgeSignature,
-    build_complex,
-    facet_table,
-    matrix_facet_table,
-)
+from .planefan import PlaneFan, validate
+from .wedgepuzzle import CharMatrix, FacetTable, LabelMismatch, build_complex, facet_table
 
 Q = Fraction
 
@@ -76,32 +64,41 @@ class PolytopalityCertificate:
 
 
 @dataclass(frozen=True)
-class RadonData:
-    ell: int
-    upper: tuple
-    lower: tuple
-    s: Fraction
-    point: tuple
-    h_normal: tuple
-    h_offset: Fraction
+class Prepared:
+    """A validated input, as both oracles read it: the sorted labels, the
+    generator of each label, the unimodular FacetTable of its maximal cones
+    and the positive-relation weights, one per label."""
+
+    labels: tuple
+    generators: dict
+    table: FacetTable
+    weights: tuple[int, ...]
 
 
-def _fan_data(obj, cx: Optional[WedgeComplex] = None):
-    """Common view of a plane fan or a characteristic matrix over a complex:
-    (ordered labels, generator dict, facet label-sets)."""
+def prepare(obj) -> Prepared:
+    """Validate a PlaneFan, or a CharMatrix over the complex of its
+    signature, once.  Raises FanError, LabelMismatch, SingularInput (a facet
+    minor other than +-1) or NotComplete (no positive relation: minors alone
+    do not rule out a non-complete fan)."""
     if isinstance(obj, PlaneFan):
+        validate(obj.rays)
         m = obj.m
         labels = tuple(range(1, m + 1))
-        gens = {i + 1: obj.rays[i] for i in range(m)}
-        facets = [frozenset({i, i % m + 1}) for i in range(1, m + 1)]
-        return labels, gens, facets
-    if isinstance(obj, CharMatrix):
-        if cx is None:
-            cx = build_complex(obj.signature_of())
+        gens = dict(zip(labels, obj.rays))
+        facets = [(i, i % m + 1) for i in labels]
+    elif isinstance(obj, CharMatrix):
+        cx = build_complex(obj.signature_of())
+        if set(obj.labels) != set(cx.labels):
+            raise LabelMismatch("matrix labels do not match the complex")
         labels = tuple(sorted(obj.labels))
         gens = {lab: obj.column(lab) for lab in labels}
-        return labels, gens, list(cx.facets)
-    raise TypeError(f"expected PlaneFan or CharMatrix, got {type(obj).__name__}")
+        facets = cx.facets
+    else:
+        raise TypeError(f"expected PlaneFan or CharMatrix, got {type(obj).__name__}")
+    table = facet_table(gens, facets)
+    if not table.unimodular:
+        raise SingularInput("some facet minor is not +-1")
+    return Prepared(labels, gens, table, positive_relation([gens[lab] for lab in labels]))
 
 
 def positive_relation(generators) -> tuple[int, ...]:
@@ -110,11 +107,7 @@ def positive_relation(generators) -> tuple[int, ...]:
     Found by the exact LP {c_i >= 1, sum c_i u_i = 0}; infeasibility means the
     generators do not positively span, i.e. the fan is not complete.
     """
-    return _positive_relation(tuple(tuple(int(x) for x in g) for g in generators))
-
-
-@lru_cache(maxsize=4096)
-def _positive_relation(gens) -> tuple[int, ...]:
+    gens = list(generators)
     m = len(gens)
     dim = len(gens[0]) if gens else 0
     equalities = []
@@ -132,17 +125,14 @@ def _positive_relation(gens) -> tuple[int, ...]:
     return tuple(make_primitive(ints))
 
 
-def shephard_diagram(obj, cx: Optional[WedgeComplex] = None,
-                     weights=None) -> ShephardDiagram:
+def shephard_diagram(prep: Prepared) -> ShephardDiagram:
     """Diagram points from the weighted generators via a kernel-with-ones basis.
 
     A diagram is not unique; downstream comparisons go through verdicts and
     incidence, never raw coordinates.
     """
-    labels, gens, _ = _fan_data(obj, cx)
-    if weights is None:
-        weights = positive_relation([gens[lab] for lab in labels])
-    wmap = dict(zip(labels, weights))
+    labels, gens = prep.labels, prep.generators
+    wmap = dict(zip(labels, prep.weights))
     dim = len(gens[labels[0]])
     a = QMatrix.from_rows(
         [[wmap[lab] * gens[lab][c] for lab in labels] for c in range(dim)])
@@ -166,7 +156,7 @@ def coface_indices(diagram: ShephardDiagram, cone) -> frozenset:
 def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     """Integer barycentric functionals of every coface, in the (rows,
     factor) form of _simplex_functionals and in table order, by Gale
-    duality; None when that does not apply.
+    duality.
 
     The left kernel of the point matrix [p_j | 1] is the row space of the
     weighted generator matrix A diag(c).  So the functionals lambda of a
@@ -177,7 +167,8 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     with A_sigma^-1 = adj / det from the table.  It applies when every facet
     matrix is nonsingular, every coface has ambient_dim + 1 points, the
     weights are nonzero integers and A diag(c) [p_j | 1] = 0, which is how
-    shephard_diagram builds a diagram.
+    shephard_diagram builds a diagram from a prepared input; any other
+    diagram raises InvariantViolation.
     """
     labels = diagram.labels
     dim = diagram.ambient_dim
@@ -186,7 +177,7 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     if not table.facets or None in table.inverses or any(
             len(labels) - len(f) != dim + 1 for f in table.facets) or any(
             type(weights[lab]) is not int or weights[lab] == 0 for lab in labels):
-        return None
+        raise InvariantViolation("facets, cofaces or weights unfit for Gale duality")
     # A diag(c) [p_j | 1] = 0, checked on the integer-scaled point columns
     n = len(gens[labels[0]])
     columns = [[1] * len(labels)]
@@ -195,12 +186,12 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     for r in range(n):
         cu = [weights[lab] * gens[lab][r] for lab in labels]
         if any(sum(map(_mul, cu, col)) for col in columns):
-            return None
+            raise InvariantViolation("diagram is not a Gale dual of its weighted generators")
     first = set(table.facets[0])
     ref = [lab for lab in labels if lab not in first]
     simplex = _simplex_functionals([diagram.points[lab] for lab in ref])
     if simplex is None:
-        return None
+        raise InvariantViolation("reference coface is not a full simplex")
     rows0, factor0 = simplex
     mu = dict(zip(ref, rows0))
     scale = lcm(*(weights[lab] for lab in ref))
@@ -228,24 +219,14 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     return out
 
 
-def s_sigma(diagram: ShephardDiagram, facets) -> PolytopalityCertificate:
+def s_sigma(diagram: ShephardDiagram, table: FacetTable) -> PolytopalityCertificate:
     """Intersection of the cofaces of the maximal cones, as a certificate.
 
-    facets is the FacetTable of the diagram's generators, or a list of
-    label sets whose table is built here.  The barycentric functionals of the cofaces come from the table by
-    Gale duality (_coface_functionals) and go to the row-generation LP; a
-    diagram they do not apply to has its coface hulls intersected by
-    relint_intersection.
+    table is the FacetTable of the diagram's generators.  The barycentric
+    functionals of the cofaces come from it by Gale duality
+    (_coface_functionals) and go to the row-generation LP.
     """
-    table = facets if isinstance(facets, FacetTable) else \
-        facet_table(diagram.generators, facets)
-    simplices = _coface_functionals(diagram, table)
-    if simplices is not None:
-        res = _relint_of_simplices(simplices, diagram.ambient_dim)
-    else:
-        families = [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
-                    for f in table]
-        res = relint_intersection(families, dimension=diagram.ambient_dim)
+    res = _relint_of_simplices(_coface_functionals(diagram, table), diagram.ambient_dim)
     if not res.feasible:
         return PolytopalityCertificate(kind="empty-witness")
     bary = dict(zip(table.facets, res.barycentric))
@@ -253,51 +234,13 @@ def s_sigma(diagram: ShephardDiagram, facets) -> PolytopalityCertificate:
         kind="interior-point", point=res.witness, barycentric=bary, slack=res.slack)
 
 
-@lru_cache(maxsize=1)
-def _facet_table(obj, cx) -> FacetTable:
-    """The facet table of an input, built once per object: the minor check,
-    the support walls and the coface functionals all read it.  Raises
-    LabelMismatch or SingularInput where check_nonsingular would raise or
-    return False."""
-    if isinstance(obj, CharMatrix):
-        table = matrix_facet_table(obj, cx)
-    else:
-        _, gens, facets = _fan_data(obj, cx)
-        table = facet_table(gens, facets)
-    if not table.unimodular:
-        raise SingularInput("some facet minor is not +-1")
-    return table
-
-
-@lru_cache(maxsize=1)
-def _validated(obj, cx):
-    """The complex of a valid input; raises on an invalid one.
-
-    One entry is cached, so the two oracles run one after the other on the
-    same object validate it once.
-    """
-    if isinstance(obj, PlaneFan):
-        validate(obj.rays)
-    else:
-        if cx is None:
-            cx = build_complex(obj.signature_of())
-        _facet_table(obj, cx)
-        # minors alone do not rule out a non-complete fan; the positive
-        # relation exists iff the generators positively span (cached)
-        positive_relation([obj.column(lab) for lab in sorted(obj.labels)])
-    return cx
-
-
-def is_strongly_polytopal(obj, cx: Optional[WedgeComplex] = None
-                          ) -> tuple[bool, PolytopalityCertificate]:
+def is_strongly_polytopal(prep: Prepared) -> tuple[bool, PolytopalityCertificate]:
     """Shephard's criterion: strongly polytopal iff all cofaces intersect."""
-    cx = _validated(obj, cx)
-    cert = s_sigma(shephard_diagram(obj, cx), _facet_table(obj, cx))
+    cert = s_sigma(shephard_diagram(prep), prep.table)
     return cert.kind == "interior-point", cert
 
 
-def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
-                               ) -> tuple[bool, PolytopalityCertificate]:
+def support_function_polytopal(prep: Prepared) -> tuple[bool, PolytopalityCertificate]:
     """Independent oracle: existence of strictly convex support heights.
 
     For every wall between adjacent maximal cones, the linear function that
@@ -305,9 +248,8 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
     the ray on the other side.  Heights are gauge-fixed to zero on the first
     facet.
     """
-    cx = _validated(obj, cx)
-    table = _facet_table(obj, cx)
-    labels, gens, _ = _fan_data(obj, cx)
+    table = prep.table
+    labels, gens = prep.labels, prep.generators
     facets = table.facets
     facet_sets = [frozenset(f) for f in facets]
     n = len(gens[labels[0]])
@@ -345,18 +287,16 @@ def support_function_polytopal(obj, cx: Optional[WedgeComplex] = None
         kind="support-heights", heights=heights, slack=res.slack)
 
 
-def certify(obj, cx: Optional[WedgeComplex] = None
-            ) -> tuple[str, PolytopalityCertificate, PolytopalityCertificate]:
-    """Run both oracles on one object, validated once: the support oracle
-    finds the object that the Shephard oracle validated, and its facet
-    table, in the caches of _validated and _facet_table.
+def certify(obj) -> tuple[str, PolytopalityCertificate, PolytopalityCertificate]:
+    """Run both oracles on one object, prepared once.
 
     Returns (verdict, Shephard certificate, support certificate), where the
     verdict is "projective", "not-strongly-polytopal" or
     "oracle-disagreement".
     """
-    ok1, cert1 = is_strongly_polytopal(obj, cx)
-    ok2, cert2 = support_function_polytopal(obj, cx)
+    prep = prepare(obj)
+    ok1, cert1 = is_strongly_polytopal(prep)
+    ok2, cert2 = support_function_polytopal(prep)
     if ok1 != ok2:
         verdict = "oracle-disagreement"
     elif ok1:
@@ -364,101 +304,3 @@ def certify(obj, cx: Optional[WedgeComplex] = None
     else:
         verdict = "not-strongly-polytopal"
     return verdict, cert1, cert2
-
-
-def point_in_relint(point, family) -> bool:
-    """Exact membership of a point in the relative interior of a hull."""
-    point = _qvec(point)
-    fam = [_qvec(p) for p in family]
-    dim = len(point)
-    simplex = _simplex_functionals(fam) if len(fam) == dim + 1 else None
-    if simplex is not None:
-        rows, _ = simplex
-        return all(sum((r[c] * point[c] for c in range(dim)), Q(0)) + r[dim] > 0
-                   for r in rows)
-    return relint_intersection([fam, [point]]).feasible
-
-
-def radon_data(diagram: ShephardDiagram, ell: Optional[int] = None) -> RadonData:
-    """Radon point of a plane-fan diagram with the opposite pair (1, ell).
-
-    The upper/lower ray labels split by the sign of the weighted second
-    coordinate; their diagram hulls meet in the single point
-    R = (1/s) sum_upper y_a a_hat = -(1/s) sum_lower y_b b_hat, and together
-    they affinely span the hyperplane H returned as a functional.
-    """
-    gens = diagram.generators
-    if gens[1] != (1, 0):
-        raise ValueError("diagram must come from a fan normalized with v_1 = (1,0)")
-    if ell is None:
-        ell = next((lab for lab in diagram.labels if gens[lab] == (-1, 0)), None)
-        if ell is None:
-            raise NoOppositeRay("no ray opposite to ray 1")
-    upper = tuple(lab for lab in diagram.labels
-                  if lab not in (1, ell) and gens[lab][1] > 0)
-    lower = tuple(lab for lab in diagram.labels
-                  if lab not in (1, ell) and gens[lab][1] < 0)
-    y = {lab: Q(diagram.weights[lab] * gens[lab][1]) for lab in upper + lower}
-    s = sum((y[a] for a in upper), Q(0))
-    if s != -sum((y[b] for b in lower), Q(0)):
-        raise InvariantViolation("weighted heights of the split do not cancel")
-    dim = diagram.ambient_dim
-    point = tuple(
-        sum((y[a] * diagram.points[a][c] for a in upper), Q(0)) / s for c in range(dim))
-    flipped = tuple(
-        -sum((y[b] * diagram.points[b][c] for b in lower), Q(0)) / s for c in range(dim))
-    if point != flipped:
-        raise InvariantViolation("affine relation violated: Radon point mismatch")
-    hull_pts = [diagram.points[lab] for lab in upper + lower]
-    kern = kernel_basis(QMatrix.from_rows([[*p, Q(-1)] for p in hull_pts]))
-    if kern.cols != 1:
-        raise ValueError(f"hyperplane through the split is not unique ({kern.cols} normals)")
-    normal = kern.column(0)
-    h_normal, h_offset = normal[:dim], normal[dim]
-    value_1 = sum((h_normal[c] * diagram.points[1][c] for c in range(dim)), Q(0)) - h_offset
-    if value_1 < 0:
-        h_normal = tuple(-x for x in h_normal)
-        h_offset = -h_offset
-    return RadonData(ell, upper, lower, s, point, tuple(h_normal), h_offset)
-
-
-def h_value(data: RadonData, point) -> Fraction:
-    return sum((a * Q(x) for a, x in zip(data.h_normal, point)), Q(0)) - data.h_offset
-
-
-def verify_wedge_shephard(mat: CharMatrix, color: int = 1,
-                          cx: Optional[WedgeComplex] = None) -> bool:
-    """Check that the wedge diagram decomposes: S of the wedge equals the
-    joint coface system of the two projections, point maps taken per the
-    swapped-copy rule, and any interior witness re-verifies in both."""
-    sig = mat.signature_of()
-    if sig.J[color - 1] != 2:
-        raise NotWedged(f"color {color} does not have exactly two copies")
-    if cx is None:
-        cx = build_complex(sig)
-    diagram = shephard_diagram(mat, cx)
-    full = s_sigma(diagram, cx.facets)
-
-    small_j = tuple(1 if i == color - 1 else sig.J[i] for i in range(sig.m))
-    small_cx = build_complex(WedgeSignature(sig.m, small_j))
-
-    def coface_families(copy_for_color):
-        fams = []
-        for facet in small_cx.facets:
-            fam = []
-            for lab in sorted(set(small_cx.labels) - set(facet)):
-                big = (color, copy_for_color) if lab == (color, 1) else lab
-                fam.append(diagram.points[big])
-            fams.append(fam)
-        return fams
-
-    fams_1 = coface_families(2)  # diagram of the projection keeping copy 1
-    fams_2 = coface_families(1)  # diagram of the projection keeping copy 2
-    joint = relint_intersection(fams_1 + fams_2, dimension=diagram.ambient_dim)
-    if joint.feasible != (full.kind == "interior-point"):
-        return False
-    if full.kind == "interior-point":
-        for fam in fams_1 + fams_2:
-            if not point_in_relint(full.point, fam):
-                return False
-    return True

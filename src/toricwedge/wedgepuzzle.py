@@ -320,22 +320,6 @@ def facet_table(generators: dict, facets) -> FacetTable:
     return FacetTable(tuple(keys), tuple(inverses))
 
 
-@lru_cache(maxsize=1)
-def matrix_facet_table(mat: CharMatrix, cx: WedgeComplex) -> FacetTable:
-    """The FacetTable of a matrix over the facets of cx; raises
-    LabelMismatch unless the matrix has one column per vertex of cx.  One
-    entry is cached, so the minor check and the certification of the same
-    matrix read one build."""
-    if set(mat.labels) != set(cx.labels):
-        raise LabelMismatch("matrix labels do not match the complex")
-    return facet_table({lab: mat.column(lab) for lab in mat.labels}, cx.facets)
-
-
-def check_nonsingular(mat: CharMatrix, cx: WedgeComplex) -> bool:
-    """True iff every facet minor of the matrix is +-1."""
-    return matrix_facet_table(mat, cx).unimodular
-
-
 def validate_puzzle(p: Puzzle) -> bool:
     """Edge color-consistency: every color-i edge a -> b of G(J) is the shift
     of the fan at a in color i by o_i(b_i) - o_i(a_i).  A nonzero shift that

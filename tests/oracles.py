@@ -20,6 +20,11 @@ Edges are checked by is_edge, which solves for the shift between two fans
 where the library shifts by the known difference of two offsets, and
 AssignedPuzzle holds a fan at every vertex of G(J), so that tests can give
 the library assignments that no base and offsets produce.
+
+relint_intersection, integer_det and verify_result live here because the
+library no longer calls them: relint_intersection sends full simplices to
+the library's row generation and any other family to an encoding with
+explicit barycentric variables, the one the library used for them.
 """
 
 from functools import lru_cache
@@ -29,27 +34,25 @@ from math import gcd
 from typing import NamedTuple
 
 from toricwedge.exactmath import (
+    DimensionMismatch,
     FeasibilityResult,
     InvariantViolation,
+    NotSquare,
     QMatrix,
     StrictLinearSystem,
+    _qvec,
     _relint_of_simplices,
     _simplex_functionals,
     clear_denominators,
-    integer_det,
     make_primitive,
-    relint_intersection,
     strict_feasible,
-    verify_result,
 )
 from toricwedge.planefan import NoOppositeRay, PlaneFan, det2, enumerate_fans, opposite_position
 from toricwedge.shephard import (
     PolytopalityCertificate,
     _coface_functionals,
-    _facet_table,
-    _fan_data,
-    _validated,
     coface_indices,
+    prepare,
     s_sigma,
     shephard_diagram,
 )
@@ -60,7 +63,7 @@ from toricwedge.wedgepuzzle import (
     _transform_fan,
     assemble_matrix,
     build_complex,
-    check_nonsingular,
+    facet_table,
     gj_edges,
     gj_vertices,
     project_to_vertex,
@@ -69,6 +72,110 @@ from toricwedge.wedgepuzzle import (
 )
 
 Q = Fraction
+
+
+def integer_det(m):
+    """Exact determinant of an integer matrix via fraction-free (Bareiss)
+    elimination, the minor check of the library before its facet table."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise NotSquare("matrix is not square")
+    if n == 0:
+        return 1
+    a = [list(map(int, r)) for r in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def verify_result(sys, res) -> bool:
+    """Re-substitute a feasibility witness into every row of the system."""
+    if not res.feasible:
+        return res.witness is None
+    x = res.witness
+    dot = lambda a: sum((ai * xi for ai, xi in zip(a, x)), Q(0))
+    if any(dot(a) != b for a, b in sys.equalities):
+        return False
+    if any(dot(a) > b for a, b in sys.weak):
+        return False
+    return all(b - dot(a) >= res.slack > 0 for a, b in sys.strict)
+
+
+class EmptyFamily(ValueError):
+    pass
+
+
+def relint_intersection(families, dimension=None):
+    """Decide whether the relative interiors of the convex hulls intersect.
+
+    Uses x in relint conv(S) iff x is a strictly positive convex combination
+    of S.  When every family is a nonsingular full simplex (dim + 1
+    affinely independent points) its barycentric functionals go to the
+    library's row generation (_relint_of_simplices); otherwise the weights
+    are explicit variables next to x (explicit_relint_intersection).
+    Returns the witness x and one barycentric tuple per family, in input
+    order.
+    """
+    fams = [tuple(_qvec(p) for p in fam) for fam in families]
+    for fam in fams:
+        if not fam:
+            raise EmptyFamily("every family must contain at least one point")
+    dim = len(fams[0][0]) if dimension is None else dimension
+    for fam in fams:
+        if any(len(p) != dim for p in fam):
+            raise DimensionMismatch("families live in different ambient dimensions")
+    if all(len(fam) == dim + 1 for fam in fams):
+        simplices = [_simplex_functionals(fam) for fam in fams]
+        if None not in simplices:
+            return _relint_of_simplices(simplices, dim)
+    return explicit_relint_intersection(fams, dim)
+
+
+def explicit_relint_intersection(fams, dim):
+    """The relint intersection with variables (x, every lambda): per family,
+    x = sum lambda_j p_j, sum lambda_j = 1 and lambda_j > 0."""
+    sizes = [len(fam) for fam in fams]
+    offsets = []
+    total = dim
+    for s in sizes:
+        offsets.append(total)
+        total += s
+    equalities = []
+    strict = []
+    for fi, fam in enumerate(fams):
+        off = offsets[fi]
+        for c in range(dim):
+            row = [Q(0)] * total
+            row[c] = Q(-1)
+            for j, p in enumerate(fam):
+                row[off + j] = p[c]
+            equalities.append((row, Q(0)))
+        row = [Q(0)] * total
+        for j in range(len(fam)):
+            row[off + j] = Q(1)
+        equalities.append((row, Q(1)))
+        for j in range(len(fam)):
+            row = [Q(0)] * total
+            row[off + j] = Q(-1)
+            strict.append((row, Q(0)))
+    res = strict_feasible(StrictLinearSystem.build(total, equalities, (), strict))
+    if not res.feasible:
+        return res
+    w = res.witness
+    bary = tuple(tuple(w[offsets[fi] + j] for j in range(sizes[fi])) for fi in range(len(fams)))
+    return FeasibilityResult(True, w[:dim], res.slack, bary)
 
 
 def cofactor_matrix(m):
@@ -343,7 +450,7 @@ def simplex_strict_system(families, dim):
 def reference_relint_intersection(families, dimension=None):
     """relint_intersection's full-simplex encoding as one solve of the whole
     strict system, where the library generates rows as they are violated.
-    Families that are not all full simplices go to the library's general
+    Families that are not all full simplices go to the explicit-variable
     encoding, which row generation does not touch."""
     dim = len(families[0][0]) if dimension is None else dimension
     full = simplex_strict_system(families, dim)
@@ -398,36 +505,43 @@ def coface_families(diagram, facets):
             for f in facets]
 
 
+def reference_facets(obj):
+    """The maximal cones of an input as label sets, read from its shape:
+    consecutive rays of a plane fan, the complex of a matrix's signature."""
+    if isinstance(obj, PlaneFan):
+        return [frozenset({i, i % obj.m + 1}) for i in range(1, obj.m + 1)]
+    return list(build_complex(obj.signature_of()).facets)
+
+
 @lru_cache(maxsize=1)
-def library_shephard(obj, cx):
-    """(cx, table, diagram, certificate): the complex, facet table, Shephard
+def library_shephard(obj):
+    """(prepared, diagram, certificate): the prepared input, Shephard
     diagram and s_sigma certificate the library gives a valid input.  One
     entry is cached, so the references below, run one after the other on
     the same object, share them."""
-    cx = _validated(obj, cx)
-    table = _facet_table(obj, cx)
-    diagram = shephard_diagram(obj, cx)
-    return cx, table, diagram, s_sigma(diagram, table)
+    prep = prepare(obj)
+    diagram = shephard_diagram(prep)
+    return prep, diagram, s_sigma(diagram, prep.table)
 
 
 @lru_cache(maxsize=1)
-def reference_cofaces(obj, cx):
+def reference_cofaces(obj):
     """(facets, families, system): the facets of a valid input, the points
     of each facet's coface in library_shephard's diagram, and
     simplex_strict_system of those families, None when some coface is not a
     nonsingular full simplex.  One entry is cached, like library_shephard's."""
-    cx, _, diagram, _ = library_shephard(obj, cx)
-    _, _, facets = _fan_data(obj, cx)
+    _, diagram, _ = library_shephard(obj)
+    facets = reference_facets(obj)
     families = coface_families(diagram, facets)
     return facets, families, simplex_strict_system(families, diagram.ambient_dim)
 
 
-def check_shephard_against_reference(obj, cx=None):
+def check_shephard_against_reference(obj):
     """Shephard verdict of obj from the library's s_sigma, asserted equal to
     the one-shot reference's, with a feasible certificate re-verified by
     substitution into the whole strict system."""
-    facets, families, full = reference_cofaces(obj, cx)
-    _, _, diagram, cert = library_shephard(obj, cx)
+    facets, families, full = reference_cofaces(obj)
+    _, diagram, cert = library_shephard(obj)
     ok = cert.kind == "interior-point"
     dim = diagram.ambient_dim
     ref = relint_intersection(families, dim) if full is None else \
@@ -439,6 +553,14 @@ def check_shephard_against_reference(obj, cx=None):
                                   FeasibilityResult(True, cert.point, cert.slack, bary),
                                   None if full is None else full[0])
     return ok
+
+
+def check_nonsingular(mat, cx) -> bool:
+    """True iff every facet minor of the matrix is +-1, read from the
+    library's facet table over the facets of cx."""
+    if set(mat.labels) != set(cx.labels):
+        raise LabelMismatch("matrix labels do not match the complex")
+    return facet_table({lab: mat.column(lab) for lab in mat.labels}, cx.facets).unimodular
 
 
 def reference_check_nonsingular(mat, cx) -> bool:
@@ -485,7 +607,7 @@ def _same_functionals(a, b) -> bool:
         for ra, rb in zip(rows_a, rows_b))
 
 
-def check_facet_table_against_reference(obj, cx=None):
+def check_facet_table_against_reference(obj):
     """The facet table and the Gale functionals of a valid input against the
     routes they replaced: the table is unimodular and every facet
     determinant equals integer_det of its minor, every coface functional
@@ -493,18 +615,17 @@ def check_facet_table_against_reference(obj, cx=None):
     exactly as rationals, and s_sigma gives the certificate that the
     reference gives from those functionals, as relint_intersection did.
     Returns the number of coface functionals compared."""
-    facets, _, full = reference_cofaces(obj, cx)
-    cx, table, diagram, cert = library_shephard(obj, cx)
-    _, gens, _ = _fan_data(obj, cx)
+    facets, _, full = reference_cofaces(obj)
+    prep, diagram, cert = library_shephard(obj)
+    table, gens = prep.table, prep.generators
     assert list(table) == [tuple(sorted(f)) for f in facets]
     assert table.unimodular
-    if cx is not None:
-        assert check_nonsingular(obj, cx) and reference_check_nonsingular(obj, cx)
+    if not isinstance(obj, PlaneFan):
+        assert reference_check_nonsingular(obj, build_complex(obj.signature_of()))
     n = len(next(iter(gens.values())))
     for facet, (_, det) in zip(table.facets, table.inverses):
         assert det == integer_det([[gens[lab][c] for lab in facet] for c in range(n)])
     gale = _coface_functionals(diagram, table)
-    assert gale is not None, "the Gale functionals do not apply to a valid input"
     assert full is not None, "some coface is not a nonsingular full simplex"
     wants = full[1]
     assert len(gale) == len(wants)
@@ -523,7 +644,10 @@ def fourier_motzkin_feasible(system) -> bool:
     Rows are (coeffs, rhs, strict_flag) meaning coeffs.x < rhs (strict) or
     coeffs.x <= rhs.  Equalities enter as two opposite weak inequalities.
     Rows are kept primitive and dominated parallel rows are dropped, with the
-    cheapest variable (fewest pos*neg combinations) eliminated first.
+    cheapest variable (fewest pos*neg combinations) eliminated first.  A row
+    with all-zero coefficients that its right-hand side contradicts
+    (0 < r with r <= 0, or 0 <= r with r < 0) proves infeasibility at once,
+    since every later row set still implies it.
     """
     rows = []
     for a, b in system.equalities:
@@ -537,6 +661,8 @@ def fourier_motzkin_feasible(system) -> bool:
 
     remaining = list(range(system.dimension))
     while remaining:
+        if _contradicted(rows):
+            return False
         counts = []
         for var in remaining:
             pos = sum(1 for c, _, _ in rows if c[var] > 0)
@@ -566,12 +692,13 @@ def fourier_motzkin_feasible(system) -> bool:
         if len(rows) > 200000:
             raise RuntimeError("Fourier-Motzkin oracle blew up")
 
-    for _, rhs, st in rows:
-        if st and rhs <= 0:
-            return False
-        if not st and rhs < 0:
-            return False
-    return True
+    return not _contradicted(rows)
+
+
+def _contradicted(rows) -> bool:
+    """Whether some row with all-zero coefficients has an impossible bound."""
+    return any((rhs <= 0 if st else rhs < 0)
+               for coeffs, rhs, st in rows if not any(coeffs))
 
 
 def _primitive(coeffs, rhs, strict):

@@ -23,13 +23,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from toricwedge.exactmath import (
-    QMatrix,
-    StrictLinearSystem,
-    relint_intersection,
-    strict_feasible,
-    verify_result,
-)
+from toricwedge.exactmath import QMatrix, StrictLinearSystem, strict_feasible
 from toricwedge.planefan import (
     PlaneFan,
     blow_down_positions,
@@ -45,21 +39,18 @@ from toricwedge.planefan import (
 from toricwedge.shephard import (
     ShephardDiagram,
     coface_indices,
-    h_value,
     is_strongly_polytopal,
-    point_in_relint,
-    radon_data,
+    prepare,
     s_sigma,
     shephard_diagram,
     support_function_polytopal,
-    verify_wedge_shephard,
 )
 from toricwedge.wedgepuzzle import (
     WedgeSignature,
     assemble_matrix,
     build_complex,
-    check_nonsingular,
     enumerate_puzzles_keyed,
+    facet_table,
     gj_vertices,
     project_to_vertex,
     puzzle_to_dict,
@@ -67,12 +58,16 @@ from toricwedge.wedgepuzzle import (
 )
 from oracles import (
     check_facet_table_against_reference,
+    check_nonsingular,
     check_shephard_against_reference,
     fourier_motzkin_feasible,
     gj_cubes,
     gj_squares,
     multiset_enumerate_puzzles_keyed,
+    relint_intersection,
+    verify_result,
 )
+from paper_lemmas import h_value, point_in_relint, radon_data, verify_wedge_shephard
 
 
 def report(num, ok, detail):
@@ -134,13 +129,16 @@ def sweep():
         enumeration += time.perf_counter() - t_enum
         for key, puzzle in classes:
             mat = assemble_matrix(puzzle)
-            nonsingular = check_nonsingular(mat, cx)
             if key in verdicts:
+                nonsingular = check_nonsingular(mat, cx)
                 _, ok1, ok2 = verdicts[key]
                 reused = True
             else:
-                ok1, _ = is_strongly_polytopal(mat, cx)
-                ok2, _ = support_function_polytopal(mat, cx)
+                # prepare raises SingularInput unless every facet minor is +-1
+                prep = prepare(mat)
+                nonsingular = prep.table.unimodular
+                ok1, _ = is_strongly_polytopal(prep)
+                ok2, _ = support_function_polytopal(prep)
                 verdicts[key] = (nonsingular, ok1, ok2)
                 reused = False
             records.append({
@@ -156,10 +154,9 @@ def sweep():
     reused_recs = [(sig, r) for sig, recs in per_sig.items()
                    for r in recs if r["reused"]]
     for sig, rec in rng.sample(reused_recs, min(30, len(reused_recs))):
-        cx = build_complex(sig)
-        mat = assemble_matrix(rec["puzzle"])
-        ok1, _ = is_strongly_polytopal(mat, cx)
-        ok2, _ = support_function_polytopal(mat, cx)
+        prep = prepare(assemble_matrix(rec["puzzle"]))
+        ok1, _ = is_strongly_polytopal(prep)
+        ok2, _ = support_function_polytopal(prep)
         assert (ok1, ok2) == (rec["shephard"], rec["support"]), \
             "oracle verdict did not transfer across signature relabeling"
     timing["total"] = time.perf_counter() - t0
@@ -174,7 +171,7 @@ def test_criterion_1_worked_example_replay():
             [[1, -d, 1], [-2, 2, 1], [2, 0, 1], [0, 0, 1], [0, 1, 1]])
         assert a.mul(b).is_zero(), f"A.B != 0 for d={d}"
         diag = paper_diagram(d)
-        cert = s_sigma(diag, pentagon_facets())
+        cert = s_sigma(diag, facet_table(diag.generators, pentagon_facets()))
         assert cert.kind == "interior-point", f"S empty for d={d}"
         for facet in pentagon_facets():
             fam = [diag.points[lab] for lab in sorted(coface_indices(diag, facet))]
@@ -258,16 +255,16 @@ def test_criterion_5_wedge_shephard_proposition(sweep):
     for sig, records in per_sig.items():
         if sig.J[0] != 2:
             continue
-        cx = build_complex(sig)
         for rec in records:
             mat = assemble_matrix(rec["puzzle"])
-            assert verify_wedge_shephard(mat, 1, cx), \
+            assert verify_wedge_shephard(mat, 1), \
                 f"wedge Shephard decomposition failed for {sig}"
             checked += 1
             if rng.random() < 0.05:
                 # independent replay of the witness re-verification
-                diag = shephard_diagram(mat, cx)
-                cert = s_sigma(diag, cx.facets)
+                prep = prepare(mat)
+                diag = shephard_diagram(prep)
+                cert = s_sigma(diag, prep.table)
                 assert cert.kind == "interior-point"
                 small_j = tuple(1 if i == 0 else sig.J[i] for i in range(sig.m))
                 small_cx = build_complex(WedgeSignature(sig.m, small_j))
@@ -360,18 +357,17 @@ def sweep_references(sweep):
         except AssertionError as e:
             counts[2].append(f"{sig}: {e}")
 
-    def same_verdict(mat, cx, want):
-        assert check_shephard_against_reference(mat, cx) == want, \
+    def same_verdict(mat, want):
+        assert check_shephard_against_reference(mat) == want, \
             "Shephard verdict differs from the reference"
 
     for sig, records in per_sig.items():
-        cx = build_complex(sig)
         for idx, rec in enumerate(records):
             mat = rec["puzzle"].matrix
             if not rec["reused"]:
-                run("shephard", sig, lambda: same_verdict(mat, cx, rec["shephard"]))
+                run("shephard", sig, lambda: same_verdict(mat, rec["shephard"]))
             if not rec["reused"] or idx == 0:
-                run("facet", sig, lambda: check_facet_table_against_reference(mat, cx))
+                run("facet", sig, lambda: check_facet_table_against_reference(mat))
     return runs
 
 
@@ -460,7 +456,7 @@ def test_criterion_9_radon_lemma_suite(plane_corpus):
                 if ell is None:
                     continue
                 rot = normalize_basis(PlaneFan(fan.rays[i:] + fan.rays[:i]))
-                diag = shephard_diagram(rot)
+                diag = shephard_diagram(prepare(rot))
                 rd = radon_data(diag)
                 upper = [diag.points[a] for a in rd.upper]
                 lower = [diag.points[b] for b in rd.lower]

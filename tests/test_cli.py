@@ -119,6 +119,21 @@ class TestClassify:
         assert captured.out == ""
         assert captured.err == f"invalid config: {flag} must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_workers_variable(self, value, tmp_path, capsys, monkeypatch):
+        # only classify reads TORICWEDGE_WORKERS, and only without --workers:
+        # a bad value exits 2 there and is ignored everywhere else
+        monkeypatch.setenv("TORICWEDGE_WORKERS", value)
+        classify = ["classify", "--m", "3", "--j", "2,1,1", "--base-depth", "1",
+                    "--e-bound", "1"]
+        assert run_cli(classify) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid config: TORICWEDGE_WORKERS must be a positive "
+                                f"integer, got {value!r}\n")
+        assert run_cli(classify + ["--workers", "1"]) == 0
+        assert run_cli(["check", "--in", write_fan(tmp_path, "pent.json", PENTAGON)]) == 0
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["classify", "--m", "4", "--j", "2,1,1,1", "--base-depth", "2",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from toricwedge import exactmath
 from toricwedge.exactmath import (
     DimensionMismatch,
-    EmptyFamily,
     FeasibilityResult,
     NotSquare,
     OnesNotInKernel,
@@ -16,27 +15,28 @@ from toricwedge.exactmath import (
     StrictLinearSystem,
     _simplex_functionals,
     integer_adjugate,
-    integer_det,
     kernel_basis,
     kernel_with_ones,
     make_primitive,
-    relint_intersection,
     strict_feasible,
-    verify_result,
 )
 from toricwedge.planefan import blow_up, hirzebruch_fan
-from toricwedge.shephard import _fan_data, coface_indices, shephard_diagram
+from toricwedge.shephard import coface_indices, prepare, shephard_diagram
 from oracles import (
+    EmptyFamily,
     assert_relint_certificate,
     cofactor_matrix,
     fourier_motzkin_feasible,
     grid_relint_intersection_2d,
+    integer_det,
     reference_kernel_basis,
     reference_kernel_with_ones,
     reference_rank,
     reference_relint_intersection,
     reference_strict_feasible,
+    relint_intersection,
     simplex_strict_system,
+    verify_result,
 )
 
 Q = Fraction
@@ -490,9 +490,10 @@ class TestRowGeneration:
         fan = hirzebruch_fan(1)
         while fan.m < 16:
             fan = blow_up(fan, rng.randrange(fan.m))
-        diagram = shephard_diagram(fan)
+        prep = prepare(fan)
+        diagram = shephard_diagram(prep)
         fams = [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
-                for f in _fan_data(fan)[2]]
+                for f in prep.table]
         sizes = []
         solve = exactmath.strict_feasible
 

@@ -19,13 +19,7 @@ import pytest
 
 from toricwedge.cli import main
 from toricwedge.planefan import fan_from_dict
-from toricwedge.wedgepuzzle import (
-    assemble_matrix,
-    build_complex,
-    enumerate_puzzles,
-    matrix_from_dict,
-    signature,
-)
+from toricwedge.wedgepuzzle import assemble_matrix, enumerate_puzzles, matrix_from_dict, signature
 from oracles import check_facet_table_against_reference, check_shephard_against_reference
 
 PENTAGON = {"rays": [[1, 0], [0, 1], [-1, 1], [-1, 0], [2, -1]]}
@@ -91,17 +85,15 @@ def test_input_shephard_verdict_matches_reference(name):
 @pytest.mark.parametrize("j", sorted(GOLDEN_CLASSIFY))
 def test_classify_shephard_verdicts_match_reference(j):
     sig = signature(5, tuple(map(int, j.split(","))))
-    cx = build_complex(sig)
     for puzzle in enumerate_puzzles(sig, 2, 2):
-        assert check_shephard_against_reference(assemble_matrix(puzzle), cx)
+        assert check_shephard_against_reference(assemble_matrix(puzzle))
 
 
 @pytest.mark.parametrize("j", sorted(GOLDEN_CLASSIFY))
 def test_classify_facet_tables_match_reference(j):
     sig = signature(5, tuple(map(int, j.split(","))))
-    cx = build_complex(sig)
     puzzles = enumerate_puzzles(sig, 2, 2)
-    compared = sum(check_facet_table_against_reference(p.matrix, cx) for p in puzzles)
+    compared = sum(check_facet_table_against_reference(p.matrix) for p in puzzles)
     assert puzzles and compared > 0
 
 

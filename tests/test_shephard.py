@@ -1,12 +1,12 @@
-import random
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricwedge import shephard, wedgepuzzle
-from toricwedge.exactmath import QMatrix, relint_intersection
+from toricwedge import shephard
+from toricwedge.exactmath import InvariantViolation, QMatrix
 from toricwedge.planefan import (
     NoOppositeRay,
     PlaneFan,
@@ -17,25 +17,20 @@ from toricwedge.planefan import (
     hirzebruch_fan,
     normalize_basis,
     opposite_position,
-    validate,
 )
 from toricwedge.shephard import (
     NotComplete,
-    PolytopalityCertificate,
-    RadonData,
+    Prepared,
     ShephardDiagram,
     SingularInput,
     certify,
     coface_indices,
-    h_value,
     is_strongly_polytopal,
-    point_in_relint,
     positive_relation,
-    radon_data,
+    prepare,
     s_sigma,
     shephard_diagram,
     support_function_polytopal,
-    verify_wedge_shephard,
 )
 from toricwedge.wedgepuzzle import (
     CharMatrix,
@@ -44,16 +39,16 @@ from toricwedge.wedgepuzzle import (
     WedgeSignature,
     assemble_matrix,
     build_complex,
-    check_nonsingular,
     facet_table,
-    signature,
 )
 from oracles import (
     check_facet_table_against_reference,
     check_shephard_against_reference,
     reference_check_nonsingular,
     reference_s_sigma,
+    relint_intersection,
 )
+from paper_lemmas import h_value, point_in_relint, radon_data, verify_wedge_shephard
 
 
 def pentagon(d):
@@ -72,6 +67,35 @@ def paper_diagram(d):
 
 def pentagon_facets():
     return [frozenset({i, i % 5 + 1}) for i in range(1, 6)]
+
+
+def pentagon_table(diag):
+    """The FacetTable of the pentagon's cones over a diagram's generators."""
+    return facet_table(diag.generators, pentagon_facets())
+
+
+def diagram_of(obj):
+    return shephard_diagram(prepare(obj))
+
+
+# two triangulations of the "mother of all examples": the triangle 123
+# around the triangle 456, in the plane x + y + z = 4
+TWISTED = [(1, 2, 4), (2, 3, 5), (1, 3, 6), (4, 5, 6), (2, 4, 5), (3, 5, 6), (1, 4, 6)]
+PULLED = [(1, 2, 4), (1, 3, 4), (2, 4, 5), (2, 3, 5), (3, 4, 6), (3, 5, 6), (4, 5, 6)]
+
+
+def nested_triangles_fan(triangles):
+    """The prepared record of a complete simplicial fan in R^3, not
+    unimodular: the cones over the triangles cut the positive octant, and
+    three cones on the ray (-1,-1,-1) fill the rest.  The fan is polytopal
+    iff the triangulation is regular."""
+    gens = {1: (4, 0, 0), 2: (0, 4, 0), 3: (0, 0, 4), 4: (2, 1, 1), 5: (1, 2, 1),
+            6: (1, 1, 2), 7: (-1, -1, -1)}
+    facets = [frozenset(t) for t in triangles] + \
+        [frozenset({7, i, j}) for i, j in ((1, 2), (2, 3), (1, 3))]
+    labels = tuple(gens)
+    return Prepared(labels, gens, facet_table(gens, facets),
+                    positive_relation([gens[lab] for lab in labels]))
 
 
 def single_wedge_puzzle(base, color, e):
@@ -124,7 +148,7 @@ class TestShephardDiagram:
     def test_pentagon_kernel_level_match(self):
         # kernels agree once the weight scalings are matched column-wise:
         # both B-blocks annihilate their own weighted matrix exactly
-        diag = shephard_diagram(pentagon(2))
+        diag = diagram_of(pentagon(2))
         assert diag.ambient_dim == 2
         a = QMatrix.from_rows(
             [[diag.weights[i + 1] * pentagon(2).rays[i][c] for i in range(5)]
@@ -134,13 +158,13 @@ class TestShephardDiagram:
         assert b.rank() == 3
 
     def test_cp2_zero_dimensional(self):
-        diag = shephard_diagram(cp2_fan())
+        diag = diagram_of(cp2_fan())
         assert diag.ambient_dim == 0
         assert all(diag.points[lab] == () for lab in diag.labels)
 
     def test_cp1_cp1_diagram(self):
         fan = PlaneFan(((1, 0), (0, 1), (-1, 0), (0, -1)))
-        diag = shephard_diagram(fan)
+        diag = diagram_of(fan)
         assert diag.ambient_dim == 1
         # (u_hat, 1) rows span the kernel of the weighted matrix, which equals
         # span{(1,0,1,0), ones} here
@@ -156,12 +180,12 @@ class TestCofaces:
         assert coface_indices(diag, {1, 2}) == frozenset({3, 4, 5})
 
     def test_triangle_coface(self):
-        diag = shephard_diagram(cp2_fan())
+        diag = diagram_of(cp2_fan())
         assert coface_indices(diag, {1, 2}) == frozenset({3})
 
     def test_wedge_coface(self):
         mat = assemble_matrix(single_wedge_puzzle(pentagon(2), 1, 1))
-        diag = shephard_diagram(mat)
+        diag = diagram_of(mat)
         cone = {(1, 1), (1, 2), (2, 1)}
         assert coface_indices(diag, cone) == frozenset({(3, 1), (4, 1), (5, 1)})
 
@@ -174,7 +198,7 @@ class TestCofaces:
 class TestSSigma:
     def test_paper_pentagon_witness_in_shaded_triangle(self):
         for d in range(6):
-            cert = s_sigma(paper_diagram(d), pentagon_facets())
+            cert = s_sigma(paper_diagram(d), pentagon_table(paper_diagram(d)))
             assert cert.kind == "interior-point"
             if d == 2:
                 x, y = cert.point
@@ -186,21 +210,25 @@ class TestSSigma:
 
     def test_witness_reverifies_in_every_coface(self):
         diag = paper_diagram(3)
-        cert = s_sigma(diag, pentagon_facets())
+        cert = s_sigma(diag, pentagon_table(diag))
         for facet in pentagon_facets():
             fam = [diag.points[lab] for lab in sorted(coface_indices(diag, facet))]
             assert point_in_relint(cert.point, fam)
 
     def test_empty_intersection_detected(self):
-        diag = ShephardDiagram(
-            (1, 2), {1: (Q(0),), 2: (Q(1),)}, {1: 1, 2: 1},
-            {1: (1,), 2: (-1,)}, 1)
-        cert = s_sigma(diag, [frozenset({1}), frozenset({2})])
-        assert cert.kind == "empty-witness"
+        # the twisted triangulation is not regular, so its fan has no
+        # strictly convex support function and the cofaces do not meet; the
+        # pulled one is regular
+        for triangles, kind in ((TWISTED, "empty-witness"), (PULLED, "interior-point")):
+            prep = nested_triangles_fan(triangles)
+            diag = shephard_diagram(prep)
+            cert = s_sigma(diag, prep.table)
+            assert cert.kind == kind
+            assert cert == reference_s_sigma(diag, prep.table)
 
     def test_zero_dimensional_nonempty(self):
-        diag = shephard_diagram(cp2_fan())
-        cert = s_sigma(diag, [frozenset({i, i % 3 + 1}) for i in range(1, 4)])
+        prep = prepare(cp2_fan())
+        cert = s_sigma(shephard_diagram(prep), prep.table)
         assert cert.kind == "interior-point"
         assert cert.point == ()
 
@@ -209,20 +237,20 @@ class TestOracles:
     def test_every_small_plane_fan_projective(self):
         for m in (3, 4, 5):
             for fan in enumerate_fans(m, 2):
-                ok, cert = is_strongly_polytopal(fan)
+                ok, cert = is_strongly_polytopal(prepare(fan))
                 assert ok, f"fan {fan.rays} not strongly polytopal"
                 assert cert.kind == "interior-point"
 
     def test_oracle_agreement(self):
         for m in (3, 4, 5, 6):
             for fan in enumerate_fans(m, 2):
-                a, _ = is_strongly_polytopal(fan)
-                b, _ = support_function_polytopal(fan)
+                a, _ = is_strongly_polytopal(prepare(fan))
+                b, _ = support_function_polytopal(prepare(fan))
                 assert a == b == True
 
     def test_support_heights_reverify(self):
         for fan in enumerate_fans(5, 2):
-            ok, cert = support_function_polytopal(fan)
+            ok, cert = support_function_polytopal(prepare(fan))
             assert ok
             h = cert.heights
             m = fan.m
@@ -239,43 +267,44 @@ class TestOracles:
     def test_singular_matrix_rejected(self):
         mat = CharMatrix(((1, 1), (2, 1), (3, 1)), ((1, 0, -1), (0, 1, -2)))
         with pytest.raises(SingularInput):
-            is_strongly_polytopal(mat)
-        with pytest.raises(SingularInput):
-            support_function_polytopal(mat)
+            prepare(mat)
 
     def test_non_complete_input_is_an_error_not_a_verdict(self):
         # unimodular minors but the rays only span a half-plane
         mat = CharMatrix(((1, 1), (2, 1), (3, 1)), ((1, 0, -1), (0, 1, 1)))
         with pytest.raises(NotComplete):
-            is_strongly_polytopal(mat)
-        with pytest.raises(NotComplete):
-            support_function_polytopal(mat)
+            prepare(mat)
 
     def test_wedge_matrices_projective(self):
         for e in (-2, 0, 1, 3):
-            mat = assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e))
-            ok1, c1 = is_strongly_polytopal(mat)
-            ok2, c2 = support_function_polytopal(mat)
+            prep = prepare(assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e)))
+            ok1, c1 = is_strongly_polytopal(prep)
+            ok2, c2 = support_function_polytopal(prep)
             assert ok1 and ok2
             assert c1.point is not None and c2.heights is not None
 
-    def test_certify_validates_once(self, monkeypatch):
-        # one facet table per object: the minor check, the coface
-        # functionals and the support walls all read the same build
-        calls = []
-        for module in (shephard, wedgepuzzle):
-            monkeypatch.setattr(module, "facet_table",
-                                lambda *args, real=module.facet_table:
-                                calls.append(args) or real(*args))
-        shephard._validated.cache_clear()
-        shephard._facet_table.cache_clear()
-        wedgepuzzle.matrix_facet_table.cache_clear()
+    def test_certify_prepares_once(self, monkeypatch):
+        # one certify builds one facet table, which the minor check, the
+        # coface functionals and the support walls all read, and solves one
+        # positive-relation LP, the only LP of the two oracles with weak rows
+        tables = []
+        weak_lps = []
+        monkeypatch.setattr(shephard, "facet_table",
+                            lambda *args, real=shephard.facet_table:
+                            tables.append(args) or real(*args))
+        monkeypatch.setattr(shephard, "strict_feasible",
+                            lambda sys, real=shephard.strict_feasible:
+                            (sys.weak and weak_lps.append(sys)) or real(sys))
         for e in (-2, 1):
             mat = assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e))
+            tables.clear()
+            weak_lps.clear()
             verdict, c1, c2 = certify(mat)
-            assert len(calls) == (1 if e == -2 else 2)
+            assert (len(tables), len(weak_lps)) == (1, 1)
             assert verdict == "projective"
-            assert (c1, c2) == (is_strongly_polytopal(mat)[1], support_function_polytopal(mat)[1])
+            prep = prepare(mat)
+            assert (c1, c2) == (is_strongly_polytopal(prep)[1],
+                                support_function_polytopal(prep)[1])
 
     def test_certify_raises_like_the_oracles(self):
         with pytest.raises(SingularInput):
@@ -305,46 +334,49 @@ class TestFacetTable:
     @settings(max_examples=300, deadline=None)
     @given(drawn_matrices())
     def test_raises_where_the_minor_check_fails(self, mat):
-        # check_nonsingular and the facet table fail where one integer_det
-        # per facet does: LabelMismatch raised, or a minor other than +-1
+        # the facet table and prepare fail where one integer_det per facet
+        # does: LabelMismatch raised, or a minor other than +-1.  A matrix
+        # whose minors pass may still not be complete.
         cx = build_complex(mat.signature_of())
-        shephard._facet_table.cache_clear()
         try:
             want = reference_check_nonsingular(mat, cx)
         except LabelMismatch:
-            for check in (check_nonsingular, shephard._facet_table):
-                with pytest.raises(LabelMismatch):
-                    check(mat, cx)
+            with pytest.raises(LabelMismatch):
+                prepare(mat)
             return
-        assert check_nonsingular(mat, cx) == want
+        table = facet_table({lab: mat.column(lab) for lab in mat.labels}, cx.facets)
+        assert table.unimodular == want
         if want:
-            assert shephard._facet_table(mat, cx).unimodular
+            try:
+                assert prepare(mat).table == table
+            except NotComplete:
+                pass
         else:
             with pytest.raises(SingularInput):
-                shephard._facet_table(mat, cx)
+                prepare(mat)
 
-    def test_label_sets_and_table_give_one_certificate(self):
+    def test_prepared_table_is_the_table_of_the_cones(self):
         fan = pentagon(2)
-        diag = shephard_diagram(fan)
-        table = shephard._facet_table(fan, None)
-        assert s_sigma(diag, pentagon_facets()) == s_sigma(diag, table) == \
-            reference_s_sigma(diag, pentagon_facets())
+        prep = prepare(fan)
+        diag = shephard_diagram(prep)
+        assert prep.table == pentagon_table(diag)
+        assert s_sigma(diag, prep.table) == reference_s_sigma(diag, pentagon_facets())
 
-    def test_diagram_not_dual_to_its_generators_takes_the_general_route(self):
+    def test_diagram_not_dual_to_its_generators_raises(self):
         # move one point of the paper's diagram: the cofaces are still full
         # simplices, but no longer a Gale dual of the weighted generators
         diag = paper_diagram(2)
         moved = ShephardDiagram(diag.labels, {**diag.points, 5: (Q(0), Q(2))},
                                 diag.weights, diag.generators, 2)
-        table = facet_table(moved.generators, pentagon_facets())
-        assert shephard._coface_functionals(diag, table) is not None
-        assert shephard._coface_functionals(moved, table) is None
-        assert s_sigma(moved, pentagon_facets()) == reference_s_sigma(moved, pentagon_facets())
+        table = pentagon_table(diag)
+        assert s_sigma(diag, table) == reference_s_sigma(diag, pentagon_facets())
+        with pytest.raises(InvariantViolation):
+            s_sigma(moved, table)
 
     def test_paper_diagrams_match_reference(self):
         for d in range(6):
             diag = paper_diagram(d)
-            assert s_sigma(diag, pentagon_facets()) == \
+            assert s_sigma(diag, pentagon_table(diag)) == \
                 reference_s_sigma(diag, pentagon_facets())
 
 
@@ -374,7 +406,7 @@ class TestRadon:
 
     def test_radon_point_is_the_unique_intersection(self):
         for d in (0, 1, 3):
-            diag = shephard_diagram(pentagon(d))
+            diag = diagram_of(pentagon(d))
             rd = radon_data(diag)
             res = relint_intersection([
                 [diag.points[a] for a in rd.upper],
@@ -386,7 +418,7 @@ class TestRadon:
             for fan in enumerate_fans(m, 2):
                 if opposite_position(fan, 0) is None:
                     continue
-                diag = shephard_diagram(fan)
+                diag = diagram_of(fan)
                 rd = radon_data(diag)
                 pts = [diag.points[lab] for lab in rd.upper + rd.lower]
                 hom = QMatrix.from_rows([[*p, Q(1)] for p in pts])
@@ -397,12 +429,12 @@ class TestRadon:
         fan = hirzebruch_fan(2)
         rot = normalize_basis(PlaneFan(fan.rays[1:] + fan.rays[:1]))
         assert opposite_position(rot, 0) == 2
-        rd = radon_data(shephard_diagram(rot))
+        rd = radon_data(diagram_of(rot))
         assert rd.ell == 3
 
     def test_no_opposite(self):
         with pytest.raises(NoOppositeRay):
-            radon_data(shephard_diagram(cp2_fan()))
+            radon_data(diagram_of(cp2_fan()))
 
 
 class TestWedgeShephard:
@@ -431,7 +463,7 @@ class TestCofaceSimplex:
         # points, an open (m-3)-simplex
         for m in (4, 5, 6):
             for fan in enumerate_fans(m, 2):
-                diag = shephard_diagram(fan)
+                diag = diagram_of(fan)
                 for i in range(1, m + 1):
                     facet = {i, i % m + 1}
                     pts = [diag.points[lab]
@@ -449,7 +481,7 @@ class TestHalfPlaneLemma:
         for d in (1, 2):
             for e in (-1, 1, 2):
                 mat = assemble_matrix(single_wedge_puzzle(pentagon(d), 1, e))
-                diag = shephard_diagram(mat)
+                diag = diagram_of(mat)
                 y = {lab: diag.weights[lab] * diag.generators[lab][1]
                      for lab in diag.labels}
                 upper = [lab for lab in diag.labels
@@ -480,15 +512,16 @@ class TestInvariance:
         # uniform rescalings and the paper's different-but-valid relation
         for weights in (tuple(2 * b for b in base), tuple(7 * b for b in base),
                         (2, 1, 1, 5, 2)):
-            diag = shephard_diagram(fan, weights=weights)
-            cert = s_sigma(diag, pentagon_facets())
+            prep = dataclasses.replace(prepare(fan), weights=weights)
+            cert = s_sigma(shephard_diagram(prep), prep.table)
             assert cert.kind == "interior-point"
 
     def test_verdict_invariant_under_kernel_basis_change(self):
         # replaying the paper's fixture versus the computed diagram: raw
         # coordinates differ, verdicts agree
-        mine = s_sigma(shephard_diagram(pentagon(2)), pentagon_facets())
-        paper = s_sigma(paper_diagram(2), pentagon_facets())
+        prep = prepare(pentagon(2))
+        mine = s_sigma(shephard_diagram(prep), prep.table)
+        paper = s_sigma(paper_diagram(2), pentagon_table(paper_diagram(2)))
         assert mine.kind == paper.kind == "interior-point"
 
 

@@ -21,7 +21,6 @@ from toricwedge.wedgepuzzle import (
     WedgeSignature,
     assemble_matrix,
     build_complex,
-    check_nonsingular,
     enumerate_puzzles,
     enumerate_puzzles_keyed,
     fan_from_matrix,
@@ -40,6 +39,7 @@ from toricwedge.wedgepuzzle import (
 )
 from oracles import (
     AssignedPuzzle,
+    check_nonsingular,
     gj_cubes,
     is_edge,
     is_irreducible,
