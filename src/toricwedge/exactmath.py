@@ -8,9 +8,10 @@ positive.  Free variables are x = x' - mu*1 with x' >= 0 and one shift
 column mu >= 0.
 
 The loops run on integers: integer constraint rows stay integers, the
-simplex tableau and its objective row are integer, row reduction is
-fraction-free, and slack and barycentric coordinates are computed over one
-common denominator.  Fraction remains at the API boundary: QMatrix entries
+simplex runs on a condensed all-integer tableau (only the nonbasic columns
+are stored) with an integer objective row, row reduction is fraction-free,
+and slack and barycentric coordinates are computed over one common
+denominator.  Fraction remains at the API boundary: QMatrix entries
 and the kernel bases returned, non-integer constraint entries, and the
 witness, slack and barycentric tuples of a result.
 
@@ -91,42 +92,6 @@ class QMatrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append(
-                [sum((ri[k] * other.entries[k][j] for k in range(self.cols)), Q(0))
-                 for j in range(other.cols)]
-            )
-        return QMatrix.from_rows(out, cols=other.cols)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
-
-    def rank(self) -> int:
-        _, pivots = _rref(self.entries)
-        return len(pivots)
-
-
-def _content(v) -> int:
-    """gcd of the entries of an integer vector, stopping as soon as it is 1."""
-    g = 0
-    for x in v:
-        if x:
-            g = _gcd(g, x)
-            if g == 1:
-                break
-    return g
-
 
 def _rref(rows) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
@@ -149,7 +114,7 @@ def _rref(rows) -> tuple[list[list[int]], list[int]]:
             f = ri[c]
             if f and i != r:
                 ri = [pv * a - f * b for a, b in zip(ri, prow)]
-                g = _content(ri)
+                g = _gcd(*ri)
                 rows[i] = [x // g for x in ri] if g > 1 else ri
         pivots.append(c)
         r += 1
@@ -161,7 +126,7 @@ def _rref(rows) -> tuple[list[list[int]], list[int]]:
 def kernel_basis(m: QMatrix) -> QMatrix:
     """Basis of the right kernel of m, returned as the columns of a matrix.
 
-    m.mul(result) is exactly zero and the result has m.cols - rank(m) columns.
+    m times result is exactly zero and the result has m.cols - rank(m) columns.
     """
     rows, pivots = _rref(m.entries)
     free = [c for c in range(m.cols) if c not in pivots]
@@ -183,7 +148,7 @@ def kernel_with_ones(m: QMatrix) -> QMatrix:
     """Kernel basis of m arranged so the last column is the all-ones vector.
 
     Requires the all-ones vector to lie in the kernel (zero row sums).  The
-    returned matrix B satisfies m.mul(B) = 0, rank(B) = m.cols - rank(m), and
+    returned matrix B satisfies m B = 0, rank(B) = m.cols - rank(m), and
     row i of B reads as a labeled point with a trailing homogenizing 1.
     """
     if m.cols == 0:
@@ -250,7 +215,7 @@ def clear_denominators(values) -> tuple[list[int], int]:
 
 def make_primitive(ints: Sequence[int]) -> list[int]:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = _content(ints)
+    g = _gcd(*ints)
     return [v // g for v in ints] if g > 1 else list(ints)
 
 
@@ -290,55 +255,45 @@ class FeasibilityResult:
 
 
 class _Simplex:
-    """Exact simplex on an all-integer tableau with Bland's anti-cycling rule.
+    """Exact simplex on a condensed all-integer tableau, Bland's rule.
 
-    Rows are integer vectors scaled independently (the basic variable of a row
-    carries a positive integer coefficient rather than 1).  The objective row
-    is integer numerators over one positive denominator, so each reduced cost
-    has the sign of its numerator.  Fully deterministic.
+    Only nonbasic columns are stored (V. Chvatal, Linear Programming, ch. 2):
+    cols[k] is the column at position k, row i holds its integer
+    coefficients on cols and its rhs, and bc[i] > 0 is the coefficient of its
+    basic variable basis[i].  Each row is scaled independently, and the
+    objective row is integer numerators over one positive denominator den, so
+    each reduced cost has the sign of its numerator.  A pivot is the
+    full-tableau update restricted to the nonbasic columns, so every ratio and
+    every choice is that of the full tableau.  Fully deterministic.
     """
 
-    def __init__(self, rows, basis, ncols):
-        self.t = rows  # each row: int coefficients + [int rhs]
+    def __init__(self, rows, bc, basis, cols):
+        self.t = rows
+        self.bc = bc
         self.basis = basis
-        self.ncols = ncols
+        self.cols = cols
 
     def set_objective(self, objective):
-        """objective: integer coefficients, one per column."""
-        self.obj, self.den = list(objective) + [0], 1
-        for i, b in enumerate(self.basis):
-            if self.obj[b]:
-                self._eliminate(self.t[i], b)
-
-    def _eliminate(self, row, col):
-        """Subtract the multiple of row that zeroes the objective at col."""
-        pv, f = row[col], self.obj[col]
-        obj = [pv * x for x in self.obj]
-        for j, v in enumerate(row):
-            if v:
-                obj[j] -= f * v
-        den = self.den * pv
-        g = _gcd(den, _content(obj))
-        if g > 1:
-            obj = [x // g for x in obj]
-            den //= g
+        """objective: integer coefficients, indexed by column."""
+        obj, den = [objective[c] for c in self.cols] + [0], 1
+        for row, bi, b in zip(self.t, self.bc, self.basis):
+            if objective[b]:
+                # the objective's entry on basic column b is objective[b] * den
+                obj, den = _combine(obj, den, row, bi, objective[b] * den)
         self.obj, self.den = obj, den
 
     def maximize(self) -> Fraction:
-        t, basis = self.t, self.basis
+        t, basis, cols = self.t, self.basis, self.cols
         while True:
             obj = self.obj
-            entering = -1
-            for j in range(self.ncols):
-                if obj[j] > 0:
-                    entering = j
-                    break  # Bland: lowest index
-            if entering < 0:
+            entering = [k for k in range(len(cols)) if obj[k] > 0]
+            if not entering:
                 return Fraction(-obj[-1], self.den)
+            q = min(entering, key=cols.__getitem__)  # Bland: lowest column
             leaving = -1
             bnum = bden = 0
             for i in range(len(t)):
-                piv = t[i][entering]
+                piv = t[i][q]
                 if piv > 0:
                     rhs = t[i][-1]
                     if leaving < 0:
@@ -349,40 +304,68 @@ class _Simplex:
                             leaving, bnum, bden = i, rhs, piv
             if leaving < 0:
                 raise ArithmeticError("unbounded objective in simplex phase")
-            self.pivot(leaving, entering)
+            self.pivot(leaving, q)
 
-    def pivot(self, row: int, col: int):
-        t = self.t
-        prow = t[row]
-        if prow[col] < 0:
+    def pivot(self, row: int, q: int):
+        """Exchange basis[row] and cols[q]."""
+        t, bc = self.t, self.bc
+        prow, br = t[row], bc[row]
+        if prow[q] < 0:
             # only reachable when driving a zero-valued artificial out
             if prow[-1] != 0:
                 raise InvariantViolation("negative pivot on a row with nonzero rhs")
-            prow = [-x for x in prow]
-            t[row] = prow
-        pv = prow[col]
-        nz = [j for j, v in enumerate(prow) if v]
+            prow, br = [-x for x in prow], -br
+        pv = prow[q]
         for i, ri in enumerate(t):
-            f = ri[col]
+            f = ri[q]
             if f and i != row:
-                ri = [pv * a for a in ri]
-                for j in nz:
-                    ri[j] -= f * prow[j]
-                g = _content(ri)
-                if g > 1:
-                    ri = [v // g for v in ri]
-                t[i] = ri
-        if self.obj[col]:
-            self._eliminate(prow, col)
-        self.basis[row] = col
+                t[i], bc[i] = _combine(ri, bc[i], prow, pv, f, q, br)
+        if self.obj[q]:
+            self.obj, self.den = _combine(self.obj, self.den, prow, pv, self.obj[q], q, br)
+        prow[q] = br
+        t[row], bc[row] = prow, pv
+        self.basis[row], self.cols[q] = self.cols[q], self.basis[row]
+
+    def drive_out(self, limit: int):
+        """After phase 1: pivot each basic artificial (column >= limit) out on
+        the lowest column below limit where its row is nonzero, then drop the
+        rows whose artificial stays basic (redundant equalities) and the
+        artificial columns."""
+        cols = self.cols
+        for i, b in enumerate(self.basis):
+            if b >= limit:
+                row = self.t[i]
+                q = min((k for k, c in enumerate(cols) if c < limit and row[k]),
+                        key=cols.__getitem__, default=None)
+                if q is not None:
+                    self.pivot(i, q)
+        keep = [k for k, c in enumerate(cols) if c < limit] + [-1]
+        live = [i for i, b in enumerate(self.basis) if b < limit]
+        self.t = [[self.t[i][k] for k in keep] for i in live]
+        self.bc = [self.bc[i] for i in live]
+        self.basis = [self.basis[i] for i in live]
+        self.cols = [cols[k] for k in keep[:-1]]
 
     def values(self, ncols: int) -> list[tuple[int, int]]:
         """(numerator, denominator) of the first ncols variables at the vertex."""
         out = [(0, 1)] * ncols
-        for row, b in zip(self.t, self.basis):
+        for row, bi, b in zip(self.t, self.bc, self.basis):
             if b < ncols:
-                out[b] = (row[-1], row[b])
+                out[b] = (row[-1], bi)
         return out
+
+
+def _combine(ri, bi, prow, pv, f, q=None, br=0):
+    """pv*ri - f*prow, with -f*br at position q, and its basic coefficient
+    pv*bi, both divided by their common gcd.  Returns (row, coefficient)."""
+    ri = [pv * a - f * b for a, b in zip(ri, prow)]
+    if q is not None:
+        ri[q] = -f * br
+    bi *= pv
+    g = _gcd(bi, *ri)
+    if g > 1:
+        return [x // g for x in ri], bi // g
+    return ri, bi
 
 
 def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
@@ -399,63 +382,52 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     # variable layout: x' (dim), mu, t | slacks | artificials
     nx = dim + 2
     t_col = dim + 1
-    raw: list[tuple[list, object, str]] = []
+    raw: list[tuple[list, object, bool]] = []
     for a, b in sys.equalities:
-        raw.append(([*a, -sum(a), 0], b, "eq"))
+        raw.append(([*a, -sum(a), 0], b, False))
     for a, b in sys.weak:
-        raw.append(([*a, -sum(a), 0], b, "le"))
+        raw.append(([*a, -sum(a), 0], b, True))
     for a, b in sys.strict:
-        raw.append(([*a, -sum(a), 1], b, "le"))
-    raw.append(([0] * (dim + 1) + [1], 1, "le"))
+        raw.append(([*a, -sum(a), 1], b, True))
+    raw.append(([0] * (dim + 1) + [1], 1, True))
 
-    nslack = sum(1 for r in raw if r[2] == "le")
-    # artificials only for equality rows and flipped inequality rows
-    need_art = [kind == "eq" or rhs < 0 for _, rhs, kind in raw]
-    nart = sum(need_art)
-    ncols = nx + nslack + nart
-    rows = []
-    basis = []
-    si = 0
-    ai = 0
-    for idx, (coef, rhs, kind) in enumerate(raw):
+    nslack = sum(1 for r in raw if r[2])
+    # Equality rows and flipped (negative rhs) inequality rows start on an
+    # artificial; a flipped row's slack starts nonbasic, after the x' columns.
+    nflip = sum(1 for _, rhs, le in raw if le and rhs < 0)
+    cols = list(range(nx))
+    rows, bc, basis = [], [], []
+    si = ai = 0
+    for coef, rhs, le in raw:
         line, scale = clear_denominators(coef + [rhs])
         rhs_i = line.pop()
-        line += [0] * (nslack + nart)
-        if kind == "le":
-            line[nx + si] = scale
-            slack_col = nx + si
-            si += 1
+        line += [0] * nflip
+        if le and rhs_i < 0:
+            line[len(cols)] = scale
+            cols.append(nx + si)
+        if not le or rhs_i < 0:
+            basis.append(nx + nslack + ai)
+            bc.append(1)
+            ai += 1
         else:
-            slack_col = None
+            basis.append(nx + si)
+            bc.append(scale)
         if rhs_i < 0:
             line = [-x for x in line]
             rhs_i = -rhs_i
-        if need_art[idx]:
-            art_col = nx + nslack + ai
-            line[art_col] = 1
-            basis.append(art_col)
-            ai += 1
-        else:
-            basis.append(slack_col)
+        if le:
+            si += 1
         rows.append(line + [rhs_i])
-    tab = _Simplex(rows, basis, ncols)
+    tab = _Simplex(rows, bc, basis, cols)
+    limit = nx + nslack
 
-    if nart:
-        phase1 = [0] * (nx + nslack) + [-1] * nart
-        tab.set_objective(phase1)
+    if ai:
+        tab.set_objective([0] * limit + [-1] * ai)
         if tab.maximize() != 0:
             return FeasibilityResult(False)
-        for i in range(len(tab.t)):
-            if tab.basis[i] >= nx + nslack:
-                col = next((j for j in range(nx + nslack) if tab.t[i][j] != 0), None)
-                if col is not None:
-                    tab.pivot(i, col)
-        live = [i for i in range(len(tab.t)) if tab.basis[i] < nx + nslack]
-        tab.t = [tab.t[i][: nx + nslack] + [tab.t[i][-1]] for i in live]
-        tab.basis = [tab.basis[i] for i in live]
-        tab.ncols = nx + nslack
+        tab.drive_out(limit)
 
-    phase2 = [0] * tab.ncols
+    phase2 = [0] * limit
     phase2[t_col] = 1
     tab.set_objective(phase2)
     topt = tab.maximize()

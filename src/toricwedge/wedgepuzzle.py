@@ -118,12 +118,6 @@ class CharMatrix:
         return WedgeSignature(m, tuple(J))
 
 
-def matrix_from_fan(fan: PlaneFan) -> CharMatrix:
-    labels = tuple((i, 1) for i in range(1, fan.m + 1))
-    rows = (tuple(x for x, _ in fan.rays), tuple(y for _, y in fan.rays))
-    return CharMatrix(labels, rows)
-
-
 def fan_from_matrix(mat: CharMatrix) -> PlaneFan:
     if mat.n != 2:
         raise ValueError("matrix does not describe a plane fan")

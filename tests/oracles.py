@@ -4,8 +4,9 @@ These deliberately avoid the library's simplex path so that agreement is
 meaningful: Fourier-Motzkin elimination for feasibility, a rational grid
 sweep for relative-interior membership in the plane, and a minor-by-minor
 cofactor matrix against which the library's integer adjugate is checked.
-The feasibility engine is checked against the earlier simplex whose
-objective row was kept in Fractions (in the same shift-column layout), the
+The feasibility engine is checked against the earlier simplex that kept
+every column of the tableau and its objective row in Fractions (in the same
+shift-column layout), the
 row-generated coface intersection against one solve of its whole strict
 system, kernel_basis against a Fraction row reduction, and
 kernel_with_ones against the greedy rank loop it replaced.  The facet
@@ -21,7 +22,8 @@ where the library shifts by the known difference of two offsets, and
 AssignedPuzzle holds a fan at every vertex of G(J), so that tests can give
 the library assignments that no base and offsets produce.
 
-relint_intersection, integer_det and verify_result live here because the
+relint_intersection, integer_det, verify_result, the QMatrix helpers
+(matmul, transpose, is_zero, rank) and matrix_from_fan live here because the
 library no longer calls them: relint_intersection sends full simplices to
 the library's row generation and any other family to an encoding with
 explicit barycentric variables, the one the library used for them.
@@ -41,6 +43,7 @@ from toricwedge.exactmath import (
     QMatrix,
     StrictLinearSystem,
     _qvec,
+    _rref,
     _relint_of_simplices,
     _simplex_functionals,
     clear_denominators,
@@ -58,6 +61,7 @@ from toricwedge.shephard import (
 )
 from toricwedge.wedgepuzzle import (
     LabelMismatch,
+    CharMatrix,
     WedgeSignature,
     _dihedral_maps,
     _transform_fan,
@@ -219,6 +223,35 @@ def _reference_rref(rows):
 
 def reference_rank(m):
     return len(_reference_rref(m.entries)[1])
+
+
+def rank(m):
+    """Rank of a QMatrix by the library's fraction-free row reduction."""
+    return len(_rref(m.entries)[1])
+
+
+def matmul(a, b):
+    """The product a.b of two QMatrix values."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    return QMatrix.from_rows(
+        [[sum((r[k] * b.entries[k][j] for k in range(a.cols)), Q(0)) for j in range(b.cols)]
+         for r in a.entries],
+        cols=b.cols)
+
+
+def transpose(m):
+    return QMatrix.from_rows([list(m.column(j)) for j in range(m.cols)], cols=m.rows)
+
+
+def is_zero(m):
+    return all(x == 0 for r in m.entries for x in r)
+
+
+def matrix_from_fan(fan):
+    """The 2 x m characteristic matrix of a plane fan, one column (i, 1) per ray."""
+    labels = tuple((i, 1) for i in range(1, fan.m + 1))
+    return CharMatrix(labels, (tuple(x for x, _ in fan.rays), tuple(y for _, y in fan.rays)))
 
 
 def reference_kernel_basis(m):

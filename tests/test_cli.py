@@ -142,6 +142,29 @@ class TestClassify:
         assert run_cli(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_parser_reused_across_calls(self, tmp_path, capsys):
+        # main builds its parser once per process: a run of check, classify,
+        # a bad flag and check again gives what each call gives alone
+        fan = write_fan(tmp_path, "pent.json", PENTAGON)
+        calls = [["check", "--in", fan],
+                 ["classify", "--m", "4", "--j", "2,1,1,1", "--base-depth", "2",
+                  "--e-bound", "2"],
+                 ["check", "--no-such-flag", "--in", fan],
+                 ["check", "--in", fan]]
+
+        def in_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        together = [in_process(argv) for argv in calls]
+        alone = [run_python("-m", "toricwedge", *argv) for argv in calls]
+        assert [code for code, _, _ in together] == [0, 0, 2, 0]
+        assert together == [(p.returncode, p.stdout, p.stderr) for p in alone]
+
 
 class TestReduce:
     def test_cp2(self, tmp_path, capsys):

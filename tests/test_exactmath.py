@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricwedge import exactmath
+from toricwedge import exactmath, shephard
 from toricwedge.exactmath import (
     DimensionMismatch,
     FeasibilityResult,
@@ -13,6 +13,7 @@ from toricwedge.exactmath import (
     OnesNotInKernel,
     QMatrix,
     StrictLinearSystem,
+    _Simplex,
     _simplex_functionals,
     integer_adjugate,
     kernel_basis,
@@ -20,15 +21,19 @@ from toricwedge.exactmath import (
     make_primitive,
     strict_feasible,
 )
-from toricwedge.planefan import blow_up, hirzebruch_fan
-from toricwedge.shephard import coface_indices, prepare, shephard_diagram
+from toricwedge.planefan import PlaneFan, blow_up, hirzebruch_fan
+from toricwedge.shephard import certify, coface_indices, prepare, shephard_diagram
+from toricwedge.wedgepuzzle import enumerate_puzzles, signature
 from oracles import (
-    EmptyFamily,
     assert_relint_certificate,
     cofactor_matrix,
+    EmptyFamily,
     fourier_motzkin_feasible,
     grid_relint_intersection_2d,
     integer_det,
+    is_zero,
+    matmul,
+    rank,
     reference_kernel_basis,
     reference_kernel_with_ones,
     reference_rank,
@@ -72,9 +77,9 @@ class TestKernelBasis:
         a = pentagon_weighted(2)
         k = kernel_basis(a)
         assert k.cols == 3
-        assert a.mul(k).is_zero()
+        assert is_zero(matmul(a, k))
         b = QMatrix.from_rows([[1, -2, 1], [-2, 2, 1], [2, 0, 1], [0, 0, 1], [0, 1, 1]])
-        assert a.mul(b).is_zero()
+        assert is_zero(matmul(a, b))
 
     def test_random_matrices_annihilated(self):
         rng = random.Random(7)
@@ -84,10 +89,10 @@ class TestKernelBasis:
             m = QMatrix.from_rows(
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
             k = kernel_basis(m)
-            assert k.cols == m.cols - m.rank()
+            assert k.cols == m.cols - rank(m)
             if k.cols:
-                assert m.mul(k).is_zero()
-                assert k.rank() == k.cols
+                assert is_zero(matmul(m, k))
+                assert rank(k) == k.cols
 
     def test_matches_fraction_reference(self):
         rng = random.Random(13)
@@ -99,7 +104,7 @@ class TestKernelBasis:
             m = QMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)],
                                   cols=cols)
             assert kernel_basis(m) == reference_kernel_basis(m)
-            assert m.rank() == reference_rank(m)
+            assert rank(m) == reference_rank(m)
 
 
 class TestKernelWithOnes:
@@ -107,19 +112,19 @@ class TestKernelWithOnes:
         a = pentagon_weighted(2)
         b = kernel_with_ones(a)
         assert b.cols == 3
-        assert a.mul(b).is_zero()
+        assert is_zero(matmul(a, b))
         assert b.column(2) == (Q(1),) * 5
-        assert b.rank() == 3
+        assert rank(b) == 3
 
     def test_cp1_times_cp1(self):
         m = QMatrix.from_rows([[1, 0, -1, 0], [0, 1, 0, -1]])
         b = kernel_with_ones(m)
-        assert m.mul(b).is_zero()
-        assert b.cols == 2 and b.rank() == 2
+        assert is_zero(matmul(m, b))
+        assert b.cols == 2 and rank(b) == 2
         assert b.column(1) == (Q(1),) * 4
         # the kernel equals span{(1,0,1,0), ones}: check (1,0,1,0) in col span of b
         ext = QMatrix.from_rows([list(b.column(0)), list(b.column(1)), [1, 0, 1, 0]])
-        assert ext.rank() == 2
+        assert rank(ext) == 2
 
     def test_degenerate_ones_only(self):
         m = QMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
@@ -143,9 +148,9 @@ class TestKernelWithOnes:
                 m.append(r)
             q = QMatrix.from_rows(m)
             b = kernel_with_ones(q)
-            assert q.mul(b).is_zero()
+            assert is_zero(matmul(q, b))
             assert b.column(b.cols - 1) == (Q(1),) * cols
-            assert b.rank() == b.cols == cols - q.rank()
+            assert rank(b) == b.cols == cols - rank(q)
 
     def test_matches_greedy_reference(self):
         rng = random.Random(19)
@@ -205,8 +210,10 @@ def linear_systems(draw):
 
 
 class TestAgainstReferenceEngine:
-    """The integer-objective engine against the Fraction-objective one it
-    replaced: the whole result, witness and slack included, must be equal."""
+    """The condensed integer tableau against the full tableau with a
+    Fraction objective that it replaced: the whole result, witness and slack
+    included, must be equal, on random systems and on every LP that certify
+    solves on blown-up fans and on the golden classify inputs."""
 
     def test_criterion_8_systems(self):
         feasible = 0
@@ -240,6 +247,89 @@ class TestAgainstReferenceEngine:
         res = strict_feasible(sys)
         assert res == reference_strict_feasible(sys)
         assert verify_result(sys, res)
+
+    @staticmethod
+    def certify_lps(objs, monkeypatch):
+        """Every system that certify passes to strict_feasible on objs."""
+        systems = []
+        solve = exactmath.strict_feasible
+
+        def recording(sys):
+            systems.append(sys)
+            return solve(sys)
+
+        monkeypatch.setattr(exactmath, "strict_feasible", recording)
+        monkeypatch.setattr(shephard, "strict_feasible", recording)
+        for obj in objs:
+            certify(obj)
+        monkeypatch.undo()
+        return systems
+
+    def test_certify_lps_of_blown_up_fans(self, monkeypatch):
+        # blow-ups of each Hirzebruch fan up to 16 rays, each labelled from
+        # ray 0 and from ray m/2
+        rng = random.Random(1983)
+        fans = []
+        for d in range(4):
+            fan = hirzebruch_fan(d)
+            while fan.m < 16:
+                fan = blow_up(fan, rng.randrange(fan.m))
+                if fan.m in (7, 10, 13, 16):
+                    fans += [PlaneFan(fan.rays[k:] + fan.rays[:k]) for k in (0, fan.m // 2)]
+        systems = self.certify_lps(fans, monkeypatch)
+        assert len(systems) > 3 * len(fans)
+        for sys in systems:
+            assert strict_feasible(sys) == reference_strict_feasible(sys)
+
+    def test_certify_lps_of_golden_classify(self, monkeypatch):
+        puzzles = [p for j in ("2,1,1,1,1", "2,1,2,1,1", "3,1,1,1,1", "2,2,1,1,1")
+                   for p in enumerate_puzzles(signature(5, tuple(map(int, j.split(",")))), 2, 2)]
+        systems = self.certify_lps([p.matrix for p in puzzles], monkeypatch)
+        assert len(systems) > 3 * len(puzzles)
+        for sys in systems:
+            assert strict_feasible(sys) == reference_strict_feasible(sys)
+
+    @staticmethod
+    def drive_out_trace(sys, monkeypatch):
+        """(rows before, rows after, signs of the pivot entries) of each
+        drive_out call while solving sys."""
+        calls = []
+        drive_out, pivot = _Simplex.drive_out, _Simplex.pivot
+
+        def traced_drive_out(tab, limit):
+            calls.append([len(tab.t), None, []])
+            tab.in_drive_out = True
+            drive_out(tab, limit)
+            del tab.in_drive_out
+            calls[-1][1] = len(tab.t)
+
+        def traced_pivot(tab, row, q):
+            if getattr(tab, "in_drive_out", False):
+                assert tab.t[row][-1] == 0  # a zero-level artificial
+                calls[-1][2].append(tab.t[row][q] > 0)
+            pivot(tab, row, q)
+
+        monkeypatch.setattr(_Simplex, "drive_out", traced_drive_out)
+        monkeypatch.setattr(_Simplex, "pivot", traced_pivot)
+        res = strict_feasible(sys)
+        monkeypatch.undo()
+        assert res == reference_strict_feasible(sys)
+        return res, calls
+
+    def test_drive_out_drops_redundant_equality(self, monkeypatch):
+        # x = 1 and 2x = 2: one artificial stays basic at zero, its row goes
+        sys = StrictLinearSystem.build(1, [([1], 1), ([2], 2)], (), [([-1], 0)])
+        res, calls = self.drive_out_trace(sys, monkeypatch)
+        assert res.feasible and res.witness == (1,)
+        assert calls == [[4, 3, []]]
+
+    def test_drive_out_negative_pivot(self, monkeypatch):
+        # -x = 0 with -x <= 0: the equality's artificial is driven out at
+        # zero on the entry -1, which pivot negates with its row
+        sys = StrictLinearSystem.build(1, [([-1], 0)], [([-1], 0)], [([0], 1)])
+        res, calls = self.drive_out_trace(sys, monkeypatch)
+        assert res.feasible and res.witness == (0,)
+        assert calls == [[4, 4, [False]]]
 
 
 class TestStrictFeasible:

@@ -27,7 +27,6 @@ from toricwedge.wedgepuzzle import (
     gj_vertices,
     is_realizable,
     matrix_from_dict,
-    matrix_from_fan,
     matrix_to_dict,
     project_to_vertex,
     projection,
@@ -43,6 +42,7 @@ from oracles import (
     gj_cubes,
     is_edge,
     is_irreducible,
+    matrix_from_fan,
     offset_candidates,
     ordered_enumerate_puzzles_keyed,
     permutation_canonical_key,
