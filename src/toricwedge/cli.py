@@ -247,13 +247,19 @@ def cmd_classify(args) -> int:
     # open --out before the run, so that an unwritable path costs no work
     with _open_out(args.out) as fh:
         puzzles = enumerate_puzzles(sig, args.base_depth, args.e_bound)
-        if workers > 1 and len(puzzles) > 1:
+        n = len(puzzles)
+        # hand the puzzles over one at a time, so that none, with its cached
+        # matrix and assignment, outlives its record
+        puzzles.reverse()
+        handed = (puzzles.pop() for _ in range(n))
+        if workers > 1 and n > 1:
             import multiprocessing
             with multiprocessing.Pool(workers) as pool:
-                records = pool.map(_certify, puzzles)
+                # the chunk size pool.map would choose
+                chunks = -(-n // (4 * workers))
+                records = list(pool.imap(_certify, handed, chunks))
         else:
-            records = [_certify(p) for p in puzzles]
-        n = len(records)
+            records = [_certify(p) for p in handed]
         n_proj = sum(1 for r in records if r["verdict"] == "projective")
         n_disagree = sum(1 for r in records if r["verdict"] == "oracle-disagreement")
         _dump({

@@ -20,8 +20,11 @@ fraction-free Gauss-Jordan elimination that returns the integer adjugate and
 the determinant together.  The relative interiors of full simplices are
 intersected by row generation (_relint_of_simplices): a few barycentric
 functionals per simplex, the violated ones added until the witness
-satisfies all of them.  It takes the functionals of _simplex_functionals or
-those the Shephard oracle derives by Gale duality from the facet adjugates.
+satisfies all of them.  Only the first round is a two-phase solve; each
+later round appends its rows to the optimal tableau and restores it by dual
+simplex pivots, with Bland's rule in both directions.  It takes the
+functionals of _simplex_functionals or those the Shephard oracle derives by
+Gale duality from the facet adjugates.
 """
 
 from __future__ import annotations
@@ -264,7 +267,8 @@ class _Simplex:
     objective row is integer numerators over one positive denominator den, so
     each reduced cost has the sign of its numerator.  A pivot is the
     full-tableau update restricted to the nonbasic columns, so every ratio and
-    every choice is that of the full tableau.  Fully deterministic.
+    every choice is that of the full tableau.  maximize runs primal pivots,
+    restore dual ones after add_row.  Fully deterministic.
     """
 
     def __init__(self, rows, bc, basis, cols):
@@ -288,7 +292,7 @@ class _Simplex:
             obj = self.obj
             entering = [k for k in range(len(cols)) if obj[k] > 0]
             if not entering:
-                return Fraction(-obj[-1], self.den)
+                return self.value()
             q = min(entering, key=cols.__getitem__)  # Bland: lowest column
             leaving = -1
             bnum = bden = 0
@@ -306,13 +310,18 @@ class _Simplex:
                 raise ArithmeticError("unbounded objective in simplex phase")
             self.pivot(leaving, q)
 
-    def pivot(self, row: int, q: int):
-        """Exchange basis[row] and cols[q]."""
+    def value(self) -> Fraction:
+        """The objective at the current vertex."""
+        return Fraction(-self.obj[-1], self.den)
+
+    def pivot(self, row: int, q: int, dual: bool = False):
+        """Exchange basis[row] and cols[q].  A negative pivot entry is legal
+        on a primal pivot only with a zero rhs, and on a dual one always."""
         t, bc = self.t, self.bc
         prow, br = t[row], bc[row]
         if prow[q] < 0:
-            # only reachable when driving a zero-valued artificial out
-            if prow[-1] != 0:
+            # primal: only reachable when driving a zero-valued artificial out
+            if prow[-1] != 0 and not dual:
                 raise InvariantViolation("negative pivot on a row with nonzero rhs")
             prow, br = [-x for x in prow], -br
         pv = prow[q]
@@ -346,6 +355,50 @@ class _Simplex:
         self.basis = [self.basis[i] for i in live]
         self.cols = [cols[k] for k in keep[:-1]]
 
+    def add_row(self, coef, rhs: int):
+        """Append coef . v + s = rhs, with coef integer coefficients indexed by
+        column and s a new column that starts basic, expressed over the
+        nonbasic columns.  The column ids are 0 .. len(cols) + len(t) - 1, so
+        s gets the next one."""
+        coef = list(coef) + [0] * (len(self.cols) + len(self.t) - len(coef))
+        line, bi = [coef[c] for c in self.cols] + [rhs], 1
+        for row, br, b in zip(self.t, self.bc, self.basis):
+            if coef[b]:
+                line, bi = _combine(line, bi, row, br, coef[b] * bi)
+        self.t.append(line)
+        self.bc.append(bi)
+        self.basis.append(len(coef))
+
+    def restore(self) -> bool:
+        """Dual simplex from a dual-feasible tableau (no positive reduced
+        cost) until every rhs is non-negative, with Bland's rule for the
+        dual: the row of the lowest basic id with a negative rhs leaves, and
+        the column with the smallest ratio obj[k] / row[k] over row[k] < 0
+        enters, the lowest column id on a tie.  Returns False when a row
+        with a negative rhs has no negative entry: the rows are infeasible."""
+        t, basis, cols = self.t, self.basis, self.cols
+        while True:
+            neg = [i for i in range(len(t)) if t[i][-1] < 0]
+            if not neg:
+                return True
+            r = min(neg, key=basis.__getitem__)
+            row, obj = t[r], self.obj
+            q = -1
+            rnum = rden = 0
+            for k in range(len(cols)):
+                a = row[k]
+                if a < 0:
+                    if q < 0:
+                        q, rnum, rden = k, obj[k], a
+                    else:
+                        # obj[k] / a < rnum / rden, with a * rden > 0
+                        cmp = obj[k] * rden - rnum * a
+                        if cmp < 0 or (cmp == 0 and cols[k] < cols[q]):
+                            q, rnum, rden = k, obj[k], a
+            if q < 0:
+                return False
+            self.pivot(r, q, dual=True)
+
     def values(self, ncols: int) -> list[tuple[int, int]]:
         """(numerator, denominator) of the first ncols variables at the vertex."""
         out = [(0, 1)] * ncols
@@ -358,6 +411,12 @@ class _Simplex:
 def _combine(ri, bi, prow, pv, f, q=None, br=0):
     """pv*ri - f*prow, with -f*br at position q, and its basic coefficient
     pv*bi, both divided by their common gcd.  Returns (row, coefficient)."""
+    d = _gcd(pv, f)
+    if d > 1:
+        # scales the result by 1/d, which the gcd division below absorbs:
+        # the same row, from smaller products
+        pv //= d
+        f //= d
     ri = [pv * a - f * b for a, b in zip(ri, prow)]
     if q is not None:
         ri[q] = -f * br
@@ -378,6 +437,21 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     The witness satisfies every equality exactly; the reported slack is the
     smallest strict-constraint margin.
     """
+    tab = _optimal_tableau(sys)
+    if tab is None:
+        return FeasibilityResult(False)
+    witness = _witness(tab, sys.dimension)
+    if not sys.strict:
+        return FeasibilityResult(True, witness, tab.value())
+    # smallest margin b - a.x, over the witness's common denominator
+    xs, scale = clear_denominators(witness)
+    margin = min(b * scale - sum(map(_mul, a, xs)) for a, b in sys.strict)
+    return FeasibilityResult(True, witness, Q(margin, scale))
+
+
+def _optimal_tableau(sys: StrictLinearSystem) -> Optional[_Simplex]:
+    """strict_feasible's two-phase solve: the tableau at the optimum of t,
+    or None when the system is infeasible."""
     dim = sys.dimension
     # variable layout: x' (dim), mu, t | slacks | artificials
     nx = dim + 2
@@ -424,24 +498,20 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     if ai:
         tab.set_objective([0] * limit + [-1] * ai)
         if tab.maximize() != 0:
-            return FeasibilityResult(False)
+            return None
         tab.drive_out(limit)
 
     phase2 = [0] * limit
     phase2[t_col] = 1
     tab.set_objective(phase2)
-    topt = tab.maximize()
-    if topt <= 0:
-        return FeasibilityResult(False)
+    return tab if tab.maximize() > 0 else None
+
+
+def _witness(tab: _Simplex, dim: int) -> tuple[Fraction, ...]:
+    """x = x' - mu*1 at the tableau's vertex."""
     val = tab.values(dim + 1)
     mn, md = val[dim]
-    witness = tuple(Q(pn * md - mn * pd, pd * md) for pn, pd in val[:dim])
-    if not sys.strict:
-        return FeasibilityResult(True, witness, topt)
-    # smallest margin b - a.x, over the witness's common denominator
-    xs, scale = clear_denominators(witness)
-    margin = min(b * scale - sum(map(_mul, a, xs)) for a, b in sys.strict)
-    return FeasibilityResult(True, witness, Q(margin, scale))
+    return tuple(Q(pn * md - mn * pd, pd * md) for pn, pd in val[:dim])
 
 
 def _simplex_functionals(fam):
@@ -467,15 +537,20 @@ def _simplex_functionals(fam):
 def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
     """Whether the relative interiors of full simplices intersect, given as
     the (rows, factor) functionals of _simplex_functionals, by row
-    generation.
+    generation on one warm tableau.
 
     Each functional lambda_j > 0 is one strict row, deduplicated across
-    families.  The LP starts from the first row of every family.  After each
-    solve the witness is substituted into every row, and each family whose
-    rows are not all satisfied adds its most violated row (smallest margin,
-    then lowest index), until no row is violated.  A subset that is
-    infeasible proves the whole system infeasible, so the verdict is that of
-    the full system, and the slack is the smallest margin over all rows, not
+    families.  The first round solves the first row of every family with
+    strict_feasible's two-phase simplex.  After each round the witness is
+    substituted into every row, and each family whose rows are not all
+    satisfied adds its most violated row (smallest margin, then lowest
+    index), until no row is violated.  The added rows go onto the optimal
+    tableau, each with a new basic slack, and dual simplex pivots restore
+    feasibility (the cutting-plane loop of C. E. Lemke's dual method), so a
+    round costs a few pivots rather than a new solve.  A subset that is
+    infeasible, shown by a row that cannot be restored or by an optimum
+    t <= 0, proves the whole system infeasible, so the verdict is that of
+    the full system; the slack is the smallest margin over all rows, not
     only over the rows solved.
     """
     rows = []  # (a, b) with lambda_j(x) > 0  <=>  a . x < b
@@ -490,24 +565,29 @@ def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
                 rows.append((key[:dim], key[dim]))
             own.append(index[key])
         members.append(own)
-    active = {own[0] for own in members}
-    while True:
-        res = strict_feasible(StrictLinearSystem.build(
-            dim, (), (), [rows[i] for i in sorted(active)]))
-        if not res.feasible:
-            return res
-        xs, scale = clear_denominators(res.witness)
+    tab = _optimal_tableau(StrictLinearSystem.build(
+        dim, (), (), [rows[i] for i in sorted({own[0] for own in members})]))
+    while tab is not None:
+        witness = _witness(tab, dim)
+        xs, scale = clear_denominators(witness)
         margins = [b * scale - sum(map(_mul, a, xs)) for a, b in rows]
         worst = {min(own, key=lambda i: (margins[i], i)) for own in members}
-        violated = {i for i in worst if margins[i] <= 0}
+        violated = sorted(i for i in worst if margins[i] <= 0)
         if not violated:
             break
-        active |= violated
+        for i in violated:
+            # a.x + t <= b over x', mu, t, as _optimal_tableau lays it out
+            a, b = rows[i]
+            tab.add_row([*a, -sum(a), 1], b)
+        if not tab.restore() or tab.value() <= 0:
+            tab = None
+    if tab is None:
+        return FeasibilityResult(False)
     # lambda_j = factor * (r . (xs, scale)) / scale, one Fraction each
     bary = tuple(
         tuple(Q(factor.numerator * (sum(map(_mul, r, xs)) + r[dim] * scale),
                 factor.denominator * scale)
               for r in fam_rows)
         for fam_rows, factor in simplices)
-    slack = Q(min(margins), scale) if rows else res.slack
-    return FeasibilityResult(True, res.witness, slack, bary)
+    slack = Q(min(margins), scale) if rows else tab.value()
+    return FeasibilityResult(True, witness, slack, bary)

@@ -8,7 +8,8 @@ The feasibility engine is checked against the earlier simplex that kept
 every column of the tableau and its objective row in Fractions (in the same
 shift-column layout), the
 row-generated coface intersection against one solve of its whole strict
-system, kernel_basis against a Fraction row reduction, and
+system and against the row generation that solved every round from the
+first pivot (reference_relint_of_simplices), kernel_basis against a Fraction row reduction, and
 kernel_with_ones against the greedy rank loop it replaced.  The facet
 table is checked against one integer_det per facet minor, and the coface
 functionals it gives by Gale duality against one barycentric adjugate per
@@ -33,6 +34,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from toricwedge.exactmath import (
@@ -490,6 +492,45 @@ def reference_relint_intersection(families, dimension=None):
     if full is None:
         return relint_intersection(families, dimension)
     return solve_strict_system(*full, dim)
+
+
+def reference_relint_of_simplices(simplices, dim):
+    """_relint_of_simplices as it was before the warm start: the same row
+    generation, with every round solved from the first pivot by
+    strict_feasible on the rows generated so far."""
+    rows = []  # (a, b) with lambda_j(x) > 0  <=>  a . x < b
+    index = {}
+    members = []  # per family, the indices of its rows
+    for fam_rows, _ in simplices:
+        own = []
+        for row in fam_rows:
+            key = tuple(make_primitive([-v for v in row[:dim]] + [row[dim]]))
+            if key not in index:
+                index[key] = len(rows)
+                rows.append((key[:dim], key[dim]))
+            own.append(index[key])
+        members.append(own)
+    active = {own[0] for own in members}
+    while True:
+        res = strict_feasible(StrictLinearSystem.build(
+            dim, (), (), [rows[i] for i in sorted(active)]))
+        if not res.feasible:
+            return res
+        xs, scale = clear_denominators(res.witness)
+        margins = [b * scale - sum(map(mul, a, xs)) for a, b in rows]
+        worst = {min(own, key=lambda i: (margins[i], i)) for own in members}
+        violated = {i for i in worst if margins[i] <= 0}
+        if not violated:
+            break
+        active |= violated
+    # lambda_j = factor * (r . (xs, scale)) / scale, one Fraction each
+    bary = tuple(
+        tuple(Q(factor.numerator * (sum(map(mul, r, xs)) + r[dim] * scale),
+                factor.denominator * scale)
+              for r in fam_rows)
+        for fam_rows, factor in simplices)
+    slack = Q(min(margins), scale) if rows else res.slack
+    return FeasibilityResult(True, res.witness, slack, bary)
 
 
 def solve_strict_system(sys, simplices, dim):

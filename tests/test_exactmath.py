@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricwedge import exactmath, shephard
+from toricwedge import exactmath
 from toricwedge.exactmath import (
     DimensionMismatch,
     FeasibilityResult,
+    InvariantViolation,
     NotSquare,
     OnesNotInKernel,
     QMatrix,
     StrictLinearSystem,
     _Simplex,
+    _optimal_tableau,
     _simplex_functionals,
     integer_adjugate,
     kernel_basis,
@@ -22,22 +24,32 @@ from toricwedge.exactmath import (
     strict_feasible,
 )
 from toricwedge.planefan import PlaneFan, blow_up, hirzebruch_fan
-from toricwedge.shephard import certify, coface_indices, prepare, shephard_diagram
+from toricwedge.shephard import (
+    _coface_functionals,
+    certify,
+    coface_indices,
+    is_strongly_polytopal,
+    prepare,
+    shephard_diagram,
+)
 from toricwedge.wedgepuzzle import enumerate_puzzles, signature
 from oracles import (
     assert_relint_certificate,
+    coface_families,
     cofactor_matrix,
     EmptyFamily,
     fourier_motzkin_feasible,
     grid_relint_intersection_2d,
     integer_det,
     is_zero,
+    margins,
     matmul,
     rank,
     reference_kernel_basis,
     reference_kernel_with_ones,
     reference_rank,
     reference_relint_intersection,
+    reference_relint_of_simplices,
     reference_strict_feasible,
     relint_intersection,
     simplex_strict_system,
@@ -209,11 +221,32 @@ def linear_systems(draw):
     )
 
 
+def blown_up_fans():
+    """Blow-ups of each Hirzebruch fan up to 16 rays, each labelled from ray
+    0 and from ray m/2: 32 fans."""
+    rng = random.Random(1983)
+    fans = []
+    for d in range(4):
+        fan = hirzebruch_fan(d)
+        while fan.m < 16:
+            fan = blow_up(fan, rng.randrange(fan.m))
+            if fan.m in (7, 10, 13, 16):
+                fans += [PlaneFan(fan.rays[k:] + fan.rays[:k]) for k in (0, fan.m // 2)]
+    return fans
+
+
+def golden_puzzles():
+    """Every class of the four golden classify signatures."""
+    return [p for j in ("2,1,1,1,1", "2,1,2,1,1", "3,1,1,1,1", "2,2,1,1,1")
+            for p in enumerate_puzzles(signature(5, tuple(map(int, j.split(",")))), 2, 2)]
+
+
 class TestAgainstReferenceEngine:
     """The condensed integer tableau against the full tableau with a
     Fraction objective that it replaced: the whole result, witness and slack
     included, must be equal, on random systems and on every LP that certify
-    solves on blown-up fans and on the golden classify inputs."""
+    solves from the first pivot on blown-up fans and on the golden classify
+    inputs (the warm Shephard rounds are checked in TestWarmStart)."""
 
     def test_criterion_8_systems(self):
         feasible = 0
@@ -250,42 +283,33 @@ class TestAgainstReferenceEngine:
 
     @staticmethod
     def certify_lps(objs, monkeypatch):
-        """Every system that certify passes to strict_feasible on objs."""
+        """Every system that certify solves from the first pivot on objs:
+        the positive relation, the first Shephard round and the support LP.
+        The later Shephard rounds are warm (TestWarmStart)."""
         systems = []
-        solve = exactmath.strict_feasible
+        solve = exactmath._optimal_tableau
 
         def recording(sys):
             systems.append(sys)
             return solve(sys)
 
-        monkeypatch.setattr(exactmath, "strict_feasible", recording)
-        monkeypatch.setattr(shephard, "strict_feasible", recording)
+        monkeypatch.setattr(exactmath, "_optimal_tableau", recording)
         for obj in objs:
             certify(obj)
         monkeypatch.undo()
         return systems
 
     def test_certify_lps_of_blown_up_fans(self, monkeypatch):
-        # blow-ups of each Hirzebruch fan up to 16 rays, each labelled from
-        # ray 0 and from ray m/2
-        rng = random.Random(1983)
-        fans = []
-        for d in range(4):
-            fan = hirzebruch_fan(d)
-            while fan.m < 16:
-                fan = blow_up(fan, rng.randrange(fan.m))
-                if fan.m in (7, 10, 13, 16):
-                    fans += [PlaneFan(fan.rays[k:] + fan.rays[:k]) for k in (0, fan.m // 2)]
+        fans = blown_up_fans()
         systems = self.certify_lps(fans, monkeypatch)
-        assert len(systems) > 3 * len(fans)
+        assert len(systems) == 3 * len(fans)
         for sys in systems:
             assert strict_feasible(sys) == reference_strict_feasible(sys)
 
     def test_certify_lps_of_golden_classify(self, monkeypatch):
-        puzzles = [p for j in ("2,1,1,1,1", "2,1,2,1,1", "3,1,1,1,1", "2,2,1,1,1")
-                   for p in enumerate_puzzles(signature(5, tuple(map(int, j.split(",")))), 2, 2)]
+        puzzles = golden_puzzles()
         systems = self.certify_lps([p.matrix for p in puzzles], monkeypatch)
-        assert len(systems) > 3 * len(puzzles)
+        assert len(systems) == 3 * len(puzzles)
         for sys in systems:
             assert strict_feasible(sys) == reference_strict_feasible(sys)
 
@@ -506,15 +530,76 @@ def first_rows_feasible(families, dim):
         dim, (), (), [(k[:dim], k[dim]) for k in keys])).feasible
 
 
-def check_row_generation(families, dim):
-    """relint_intersection against the one-shot reference: the same verdict,
-    and a feasible result re-verified against the whole strict system."""
-    res = relint_intersection(families, dimension=dim)
-    assert res.feasible == reference_relint_intersection(families, dim).feasible
+def warm_rounds(simplices, dim):
+    """_relint_of_simplices on simplices, with every round recorded:
+    (result, [(rows, witness)]), where rows are the round's strict rows and
+    witness is the warm tableau's, None when the round proved its rows
+    infeasible."""
+    rounds = []
+    rows = []
+    solve, add_row, restore = exactmath._optimal_tableau, _Simplex.add_row, _Simplex.restore
+
+    def first(sys):
+        tab = solve(sys)
+        rows.extend(sys.strict)
+        rounds.append((tuple(rows), None if tab is None else exactmath._witness(tab, dim)))
+        return tab
+
+    def added(tab, coef, rhs):
+        rows.append((tuple(coef[:dim]), rhs))
+        add_row(tab, coef, rhs)
+
+    def restored(tab):
+        ok = restore(tab)
+        feasible = ok and tab.value() > 0
+        rounds.append((tuple(rows), exactmath._witness(tab, dim) if feasible else None))
+        return ok
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactmath, "_optimal_tableau", first)
+        mp.setattr(_Simplex, "add_row", added)
+        mp.setattr(_Simplex, "restore", restored)
+        res = exactmath._relint_of_simplices(simplices, dim)
+    return res, rounds
+
+
+def check_warm_start(simplices, dim, families, whole=None, engine=False):
+    """The warm row generation against reference_relint_of_simplices, which
+    solves every round from the first pivot: the same verdict, a feasible
+    result re-verified on the whole strict system (whole, built from the
+    families when not given), and in every round min(1, slack) at the warm
+    witness equal to min(1, slack) of a cold strict_feasible on the round's
+    rows.  That is the optimum of t, which is unique where the optimal vertex
+    is not.  With engine, each cold solve must also equal
+    reference_strict_feasible.  Returns (result, rounds)."""
+    res, rounds = warm_rounds(simplices, dim)
+    assert res.feasible == reference_relint_of_simplices(simplices, dim).feasible
     if res.feasible:
-        assert_relint_certificate(families, dim, res)
+        assert_relint_certificate(families, dim, res, whole)
+        assert res.witness == rounds[-1][1]
     else:
         assert res == FeasibilityResult(False)
+        assert rounds[-1][1] is None
+    assert all(witness is not None for _, witness in rounds[:-1])
+    for rows, witness in rounds:
+        sys = StrictLinearSystem.build(dim, (), (), rows)
+        cold = strict_feasible(sys)
+        if engine:
+            assert cold == reference_strict_feasible(sys)
+        assert cold.feasible == (witness is not None)
+        if witness is not None:
+            assert min(1, min(margins(sys, witness))) == min(1, cold.slack)
+    return res, rounds
+
+
+def check_row_generation(families, dim):
+    """relint_intersection against the one-shot reference and the cold row
+    generation (check_warm_start): the same verdict, and a feasible result
+    re-verified against the whole strict system."""
+    whole, simplices = simplex_strict_system(families, dim)
+    res, _ = check_warm_start(simplices, dim, families, whole)
+    assert relint_intersection(families, dimension=dim) == res
+    assert res.feasible == reference_relint_intersection(families, dim).feasible
     return res.feasible
 
 
@@ -574,7 +659,7 @@ class TestRowGeneration:
             res = relint_intersection(pentagon_cofaces(d))
             assert_relint_certificate(pentagon_cofaces(d), 2, res)
 
-    def test_solves_fewer_rows_than_the_system(self, monkeypatch):
+    def test_solves_fewer_rows_than_the_system(self):
         # the cofaces of a 16-ray plane fan: 16 simplices in dimension 13
         rng = random.Random(3)
         fan = hirzebruch_fan(1)
@@ -584,21 +669,110 @@ class TestRowGeneration:
         diagram = shephard_diagram(prep)
         fams = [[diagram.points[lab] for lab in sorted(coface_indices(diagram, f))]
                 for f in prep.table]
-        sizes = []
-        solve = exactmath.strict_feasible
-
-        def counted(sys):
-            sizes.append(len(sys.strict))
-            return solve(sys)
-
-        monkeypatch.setattr(exactmath, "strict_feasible", counted)
-        res = relint_intersection(fams, dimension=diagram.ambient_dim)
-        monkeypatch.undo()
-        whole, _ = simplex_strict_system(fams, diagram.ambient_dim)
+        dim = diagram.ambient_dim
+        whole, simplices = simplex_strict_system(fams, dim)
+        res, rounds = warm_rounds(simplices, dim)
+        sizes = [len(rows) for rows, _ in rounds]
         assert res.feasible
-        assert_relint_certificate(fams, diagram.ambient_dim, res)
+        assert_relint_certificate(fams, dim, res, whole)
         assert sizes == sorted(set(sizes)) and sizes[0] <= len(fams)
-        assert max(sizes) < len(whole.strict)
+        assert sizes[-1] < len(whole.strict)
+
+
+def shephard_case(obj):
+    """(simplices, dim, families) of the Shephard LP of a valid input: the
+    coface functionals that s_sigma passes to _relint_of_simplices, and the
+    coface points they come from."""
+    prep = prepare(obj)
+    diagram = shephard_diagram(prep)
+    return (_coface_functionals(diagram, prep.table), diagram.ambient_dim,
+            coface_families(diagram, prep.table))
+
+
+class TestWarmStart:
+    """Shephard row generation keeps one tableau and restores it by dual
+    simplex after adding rows; each round must reach the optimum that a
+    cold solve of the same rows reaches.  The seeded and hypothesis families
+    go through check_warm_start in TestRowGeneration."""
+
+    def test_blown_up_fans(self):
+        for fan in blown_up_fans():
+            simplices, dim, families = shephard_case(fan)
+            res, rounds = check_warm_start(simplices, dim, families, engine=True)
+            assert res.feasible
+
+    def test_golden_classify(self):
+        warm = 0
+        for puzzle in golden_puzzles():
+            simplices, dim, families = shephard_case(puzzle.matrix)
+            _, rounds = check_warm_start(simplices, dim, families, engine=True)
+            warm += len(rounds) > 1
+        assert warm > 0
+
+    def test_pivot_budget_of_a_48_ray_fan(self):
+        # the Shephard oracle on 48 rays, labelled from ray 0 and from ray
+        # 24, in at most 300 pivots where re-solving every round from the
+        # first pivot takes 394 and 1,085
+        rng = random.Random(7)
+        fan = hirzebruch_fan(1)
+        while fan.m < 48:
+            fan = blow_up(fan, rng.randrange(fan.m))
+        for k in (0, 24):
+            prep = prepare(PlaneFan(fan.rays[k:] + fan.rays[:k]))
+            pivots = []
+            pivot = _Simplex.pivot
+
+            def counted(tab, row, q, dual=False):
+                pivots.append(dual)
+                pivot(tab, row, q, dual)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_Simplex, "pivot", counted)
+                ok, _ = is_strongly_polytopal(prep)
+            assert ok and any(pivots)
+            assert len(pivots) <= 300, (k, len(pivots))
+
+    @staticmethod
+    def tableau(strict):
+        """The optimal tableau of one strict system in one variable."""
+        tab = _optimal_tableau(StrictLinearSystem.build(1, (), (), strict))
+        assert tab is not None and tab.value() > 0
+        return tab
+
+    def test_added_row_restored(self):
+        # x < 1 has t = 1 at x = 0; adding x > 1/2, as -2x + t <= -1 over
+        # x', mu, t, cuts t to 1/3 at x = 2/3
+        tab = self.tableau([([1], 1)])
+        tab.add_row([-2, 2, 1], -1)
+        assert min(row[-1] for row in tab.t) < 0
+        assert tab.restore()
+        assert min(row[-1] for row in tab.t) >= 0
+        assert tab.value() == Q(1, 3)
+        assert exactmath._witness(tab, 1) == (Q(2, 3),)
+
+    def test_added_rows_that_meet_at_t_zero(self):
+        # x < 1 and x > 1: restored, with t = 0
+        tab = self.tableau([([1], 1)])
+        tab.add_row([-1, 1, 1], -1)
+        assert tab.restore() and tab.value() == 0
+
+    def test_added_row_that_cannot_be_restored(self):
+        # x < 1 and x > 2 with t >= 0: the dual is unbounded, and a row
+        # with a negative rhs is left without a negative entry
+        tab = self.tableau([([1], 1)])
+        tab.add_row([-1, 1, 1], -2)
+        assert not tab.restore()
+        assert any(row[-1] < 0 and all(a >= 0 for a in row[:-1]) for row in tab.t)
+
+    def test_negative_pivot_is_dual_only(self):
+        tab = self.tableau([([1], 1)])
+        tab.add_row([-2, 2, 1], -1)
+        r = len(tab.t) - 1
+        q = next(k for k, a in enumerate(tab.t[r][:-1]) if a < 0)
+        with pytest.raises(InvariantViolation):
+            tab.pivot(r, q)
+        tab.pivot(r, q, dual=True)
+        assert tab.t[r][-1] > 0 and tab.bc[r] > 0
 
 
 class TestIntegerDet:
