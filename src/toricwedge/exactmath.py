@@ -9,11 +9,11 @@ column mu >= 0.
 
 The loops run on integers: integer constraint rows stay integers, the
 simplex runs on a condensed all-integer tableau (only the nonbasic columns
-are stored) with an integer objective row, row reduction is fraction-free,
-and slack and barycentric coordinates are computed over one common
-denominator.  Fraction remains at the API boundary: QMatrix entries
-and the kernel bases returned, non-integer constraint entries, and the
-witness, slack and barycentric tuples of a result.
+are stored) with an integer objective row, and slack and barycentric
+coordinates are computed over one common denominator.  Kernels are integer
+in and out: kernel_basis reduces integer rows fraction-free and returns
+primitive integer columns.  Fraction remains only in non-integer constraint
+entries and in the witness, slack and barycentric tuples of a result.
 
 Facet and coface matrices are inverted one way only: integer_adjugate, a
 fraction-free Gauss-Jordan elimination that returns the integer adjugate and
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
+from math import lcm
 from operator import mul as _mul
 from typing import Optional, Sequence
 
@@ -46,64 +47,24 @@ class NotSquare(ValueError):
     pass
 
 
-class OnesNotInKernel(ValueError):
-    """Raised when kernel_with_ones is given a matrix with nonzero row sums."""
-
-
 class InvariantViolation(RuntimeError):
     """An internal invariant failed: a program bug, never a bad input."""
 
 
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _qvec(v) -> tuple[Fraction, ...]:
-    return tuple(_q(x) for x in v)
-
-
 def _exact(x):
     """An int stays an int; anything else becomes a Fraction."""
-    return x if type(x) is int else _q(x)
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Immutable rational matrix, row-major.  0x0 and 0xN matrices are legal."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-    cols: int
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "QMatrix":
-        rows = tuple(_qvec(r) for r in rows)
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise DimensionMismatch("ragged rows")
-        elif cols is None:
-            cols = 0
-        return cls(rows, cols)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+    return x if type(x) is int else Fraction(x)
 
 
 def _rref(rows) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
+    """Reduced row echelon form of integer rows by fraction-free Gauss-Jordan
+    elimination.
 
     Returns (rows, pivots) with one integer row per pivot: entry (r, c) of the
-    RREF is rows[r][c] / rows[r][pivots[r]].  Each input row is scaled to
-    integers first and divided by its content after every update.
+    RREF is rows[r][c] / rows[r][pivots[r]].  Each updated row is divided by
+    its content.
     """
-    rows = [clear_denominators(r)[0] for r in rows]
+    rows = list(rows)
     pivots = []
     r = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -126,44 +87,24 @@ def _rref(rows) -> tuple[list[list[int]], list[int]]:
     return rows[:r], pivots
 
 
-def kernel_basis(m: QMatrix) -> QMatrix:
-    """Basis of the right kernel of m, returned as the columns of a matrix.
+def kernel_basis(rows, ncols: int) -> list[list[int]]:
+    """Basis of the right kernel of an integer matrix with ncols columns.
 
-    m times result is exactly zero and the result has m.cols - rank(m) columns.
+    One primitive integer column per free coordinate of the RREF, positive on
+    that coordinate and zero on the other free ones: the RREF's unit vector
+    scaled by the lcm of the pivots.  The matrix times each column is exactly
+    zero, and there are ncols - rank columns.
     """
-    rows, pivots = _rref(m.entries)
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows, pivots = _rref(rows)
+    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
     basis = []
-    for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = scale
         for row, p in zip(rows, pivots):
-            v[p] = Q(-row[f], row[p])
-        basis.append(v)
-    # basis vectors become columns
-    return QMatrix.from_rows(
-        [[basis[j][i] for j in range(len(basis))] for i in range(m.cols)],
-        cols=len(basis),
-    )
-
-
-def kernel_with_ones(m: QMatrix) -> QMatrix:
-    """Kernel basis of m arranged so the last column is the all-ones vector.
-
-    Requires the all-ones vector to lie in the kernel (zero row sums).  The
-    returned matrix B satisfies m B = 0, rank(B) = m.cols - rank(m), and
-    row i of B reads as a labeled point with a trailing homogenizing 1.
-    """
-    if m.cols == 0:
-        return QMatrix.from_rows([], cols=0)
-    if any(sum(clear_denominators(r)[0]) for r in m.entries):
-        raise OnesNotInKernel("row sums of the input are not all zero")
-    kern = kernel_basis(m)
-    # Each column of the RREF kernel basis is a unit vector on its own free
-    # coordinate, so ones is the sum of all k columns: the first k-1 columns
-    # and ones are a basis of the kernel.
-    k = kern.cols
-    return QMatrix.from_rows([[*r[:k - 1], Q(1)] for r in kern.entries], cols=k)
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(make_primitive(v))
+    return basis
 
 
 def integer_adjugate(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:

@@ -22,12 +22,11 @@ from typing import Optional
 
 from .exactmath import (
     InvariantViolation,
-    QMatrix,
     StrictLinearSystem,
     _relint_of_simplices,
     _simplex_functionals,
     clear_denominators,
-    kernel_with_ones,
+    kernel_basis,
     make_primitive,
     strict_feasible,
 )
@@ -104,44 +103,41 @@ def prepare(obj) -> Prepared:
 def positive_relation(generators) -> tuple[int, ...]:
     """Integer weights c_i >= 1 with sum c_i u_i = 0, primitive and deterministic.
 
-    Found by the exact LP {c_i >= 1, sum c_i u_i = 0}; infeasibility means the
-    generators do not positively span, i.e. the fan is not complete.
+    The relations are c = K y over the integer kernel basis K of the
+    generator matrix, so the exact LP is {K y >= 1} in the m - rank
+    coordinates y.  An empty kernel or an infeasible LP means the generators
+    do not positively span, i.e. the fan is not complete.
     """
     gens = list(generators)
-    m = len(gens)
     dim = len(gens[0]) if gens else 0
-    equalities = []
-    for c in range(dim):
-        equalities.append(([g[c] for g in gens], 0))
-    weak = []
-    for i in range(m):
-        row = [0] * m
-        row[i] = -1
-        weak.append((row, -1))
-    res = strict_feasible(StrictLinearSystem.build(m, equalities, weak, ()))
+    kern = kernel_basis([[g[c] for g in gens] for c in range(dim)], len(gens))
+    if not kern:
+        raise NotComplete("generators are linearly independent")
+    weak = [([-col[i] for col in kern], -1) for i in range(len(gens))]
+    res = strict_feasible(StrictLinearSystem.build(len(kern), (), weak, ()))
     if not res.feasible:
         raise NotComplete("generators admit no positive zero-sum relation")
-    ints, _ = clear_denominators(res.witness)
-    return tuple(make_primitive(ints))
+    ys, _ = clear_denominators(res.witness)
+    return tuple(make_primitive(
+        [sum(col[i] * y for col, y in zip(kern, ys)) for i in range(len(gens))]))
 
 
 def shephard_diagram(prep: Prepared) -> ShephardDiagram:
-    """Diagram points from the weighted generators via a kernel-with-ones basis.
+    """Diagram points from an integer kernel basis of the weighted generators.
 
-    A diagram is not unique; downstream comparisons go through verdicts and
-    incidence, never raw coordinates.
+    The weights make ones a kernel vector, with a nonzero coefficient on the
+    basis column of the last free coordinate, so the other columns and ones
+    are a basis of the kernel: the other columns give the points and ones
+    their homogenizing coordinate.  A diagram is not unique; downstream
+    comparisons go through verdicts and incidence, never raw coordinates.
     """
     labels, gens = prep.labels, prep.generators
     wmap = dict(zip(labels, prep.weights))
     dim = len(gens[labels[0]])
-    a = QMatrix.from_rows(
-        [[wmap[lab] * gens[lab][c] for lab in labels] for c in range(dim)])
-    b = kernel_with_ones(a)
-    # rescale each coordinate axis to primitive integers; an admissible
-    # change of kernel basis that keeps the ones column intact
-    cols = [make_primitive(clear_denominators(b.column(j))[0]) for j in range(b.cols - 1)]
-    points = {lab: tuple(Q(col[i]) for col in cols) for i, lab in enumerate(labels)}
-    return ShephardDiagram(labels, points, wmap, dict(gens), b.cols - 1)
+    cols = kernel_basis(
+        [[wmap[lab] * gens[lab][c] for lab in labels] for c in range(dim)], len(labels))[:-1]
+    points = {lab: tuple(col[i] for col in cols) for i, lab in enumerate(labels)}
+    return ShephardDiagram(labels, points, wmap, dict(gens), len(cols))
 
 
 def coface_indices(diagram: ShephardDiagram, cone) -> frozenset:
@@ -178,11 +174,10 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
             len(labels) - len(f) != dim + 1 for f in table.facets) or any(
             type(weights[lab]) is not int or weights[lab] == 0 for lab in labels):
         raise InvariantViolation("facets, cofaces or weights unfit for Gale duality")
-    # A diag(c) [p_j | 1] = 0, checked on the integer-scaled point columns
+    # A diag(c) [p_j | 1] = 0
     n = len(gens[labels[0]])
-    columns = [[1] * len(labels)]
-    for t in range(dim):
-        columns.append(clear_denominators([diagram.points[lab][t] for lab in labels])[0])
+    columns = [[1] * len(labels)] + [[diagram.points[lab][t] for lab in labels]
+                                     for t in range(dim)]
     for r in range(n):
         cu = [weights[lab] * gens[lab][r] for lab in labels]
         if any(sum(map(_mul, cu, col)) for col in columns):

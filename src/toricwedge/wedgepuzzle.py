@@ -533,8 +533,8 @@ def matrix_from_dict(data: dict) -> CharMatrix:
     cols = []
     for entry in data["cols"]:
         label = entry["label"]
-        match = isinstance(label, str) and re.fullmatch(r"([0-9]+)_([0-9]+)", label)
-        if not match or min(int(match[1]), int(match[2])) < 1:
+        match = isinstance(label, str) and re.fullmatch(r"([1-9][0-9]*)_([1-9][0-9]*)", label)
+        if not match:
             raise ValueError(f"column label {label!r} is not i_k with integers i, k >= 1")
         labels.append((int(match[1]), int(match[2])))
         cols.append([int(x) for x in entry["v"]])

@@ -9,8 +9,13 @@ every column of the tableau and its objective row in Fractions (in the same
 shift-column layout), the
 row-generated coface intersection against one solve of its whole strict
 system and against the row generation that solved every round from the
-first pivot (reference_relint_of_simplices), kernel_basis against a Fraction row reduction, and
-kernel_with_ones against the greedy rank loop it replaced.  The facet
+first pivot (reference_relint_of_simplices).  The integer kernel_basis is
+checked against reference_kernel_basis, a Fraction row reduction over a
+QMatrix; the diagram that shephard_diagram takes from it against
+reference_kernel_with_ones, the greedy rank loop that once built the
+diagram; and the positive relation over the kernel coordinates against
+reference_positive_relation, the LP over all m weights with one equality
+row per coordinate that it replaced.  The facet
 table is checked against one integer_det per facet minor, and the coface
 functionals it gives by Gale duality against one barycentric adjugate per
 coface, the route s_sigma took through relint_intersection before.  The
@@ -23,28 +28,28 @@ where the library shifts by the known difference of two offsets, and
 AssignedPuzzle holds a fan at every vertex of G(J), so that tests can give
 the library assignments that no base and offsets produce.
 
-relint_intersection, integer_det, verify_result, the QMatrix helpers
+relint_intersection, integer_det, verify_result, QMatrix with its helpers
 (matmul, transpose, is_zero, rank) and matrix_from_fan live here because the
 library no longer calls them: relint_intersection sends full simplices to
 the library's row generation and any other family to an encoding with
-explicit barycentric variables, the one the library used for them.
+explicit barycentric variables, the one the library used for them, and the
+library's kernels take and return integer lists rather than a QMatrix.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 from toricwedge.exactmath import (
     DimensionMismatch,
     FeasibilityResult,
     InvariantViolation,
     NotSquare,
-    QMatrix,
     StrictLinearSystem,
-    _qvec,
     _rref,
     _relint_of_simplices,
     _simplex_functionals,
@@ -54,6 +59,7 @@ from toricwedge.exactmath import (
 )
 from toricwedge.planefan import NoOppositeRay, PlaneFan, det2, enumerate_fans, opposite_position
 from toricwedge.shephard import (
+    NotComplete,
     PolytopalityCertificate,
     _coface_functionals,
     coface_indices,
@@ -78,6 +84,39 @@ from toricwedge.wedgepuzzle import (
 )
 
 Q = Fraction
+
+
+def _qvec(v) -> tuple[Fraction, ...]:
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
+
+
+@dataclass(frozen=True)
+class QMatrix:
+    """Immutable rational matrix, row-major.  0x0 and 0xN matrices are legal."""
+
+    entries: tuple[tuple[Fraction, ...], ...]
+    cols: int
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "QMatrix":
+        rows = tuple(_qvec(r) for r in rows)
+        if rows:
+            cols = len(rows[0])
+            if any(len(r) != cols for r in rows):
+                raise DimensionMismatch("ragged rows")
+        elif cols is None:
+            cols = 0
+        return cls(rows, cols)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        return self.entries[i]
+
+    def column(self, j: int) -> tuple[Fraction, ...]:
+        return tuple(r[j] for r in self.entries)
 
 
 def integer_det(m):
@@ -228,8 +267,9 @@ def reference_rank(m):
 
 
 def rank(m):
-    """Rank of a QMatrix by the library's fraction-free row reduction."""
-    return len(_rref(m.entries)[1])
+    """Rank of a QMatrix by the library's fraction-free row reduction, each
+    row scaled to integers first."""
+    return len(_rref([clear_denominators(r)[0] for r in m.entries])[1])
 
 
 def matmul(a, b):
@@ -274,8 +314,9 @@ def reference_kernel_basis(m):
 
 
 def reference_kernel_with_ones(m):
-    """kernel_with_ones by greedy extension of {ones} with independent kernel
-    columns, one rank computation per candidate column."""
+    """A kernel basis of m with the all-ones vector as its last column, by
+    greedy extension of {ones} with independent kernel columns, one rank
+    computation per candidate column."""
     if m.cols == 0:
         return QMatrix.from_rows([], cols=0)
     ones = [Q(1)] * m.cols
@@ -297,6 +338,20 @@ def reference_kernel_with_ones(m):
         [[order[j][i] for j in range(len(order))] for i in range(m.cols)],
         cols=len(order),
     )
+
+
+def reference_positive_relation(generators):
+    """positive_relation by the LP over all m weights: {c_i >= 1, sum c_i u_i
+    = 0}, with one equality row per coordinate."""
+    gens = list(generators)
+    m = len(gens)
+    dim = len(gens[0]) if gens else 0
+    equalities = [([g[c] for g in gens], 0) for c in range(dim)]
+    weak = [([-int(j == i) for j in range(m)], -1) for i in range(m)]
+    res = strict_feasible(StrictLinearSystem.build(m, equalities, weak, ()))
+    if not res.feasible:
+        raise NotComplete("generators admit no positive zero-sum relation")
+    return tuple(make_primitive(clear_denominators(res.witness)[0]))
 
 
 def _reference_clear_denominators(values):

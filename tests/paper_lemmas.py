@@ -13,11 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from toricwedge.exactmath import InvariantViolation, QMatrix, _qvec, _simplex_functionals, kernel_basis
+from toricwedge.exactmath import (
+    InvariantViolation,
+    _simplex_functionals,
+    clear_denominators,
+    kernel_basis,
+)
 from toricwedge.planefan import NoOppositeRay
 from toricwedge.shephard import ShephardDiagram, prepare, s_sigma, shephard_diagram
 from toricwedge.wedgepuzzle import CharMatrix, NotWedged, WedgeSignature, build_complex
-from oracles import relint_intersection
+from oracles import _qvec, relint_intersection
 
 Q = Fraction
 
@@ -77,10 +82,10 @@ def radon_data(diagram: ShephardDiagram, ell: Optional[int] = None) -> RadonData
     if point != flipped:
         raise InvariantViolation("affine relation violated: Radon point mismatch")
     hull_pts = [diagram.points[lab] for lab in upper + lower]
-    kern = kernel_basis(QMatrix.from_rows([[*p, Q(-1)] for p in hull_pts]))
-    if kern.cols != 1:
-        raise ValueError(f"hyperplane through the split is not unique ({kern.cols} normals)")
-    normal = kern.column(0)
+    kern = kernel_basis([clear_denominators([*p, -1])[0] for p in hull_pts], dim + 1)
+    if len(kern) != 1:
+        raise ValueError(f"hyperplane through the split is not unique ({len(kern)} normals)")
+    normal = kern[0]
     h_normal, h_offset = normal[:dim], normal[dim]
     value_1 = sum((h_normal[c] * diagram.points[1][c] for c in range(dim)), Q(0)) - h_offset
     if value_1 < 0:

@@ -23,7 +23,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from toricwedge.exactmath import QMatrix, StrictLinearSystem, strict_feasible
+from toricwedge.exactmath import StrictLinearSystem, strict_feasible
 from toricwedge.planefan import (
     PlaneFan,
     blow_down_positions,
@@ -57,6 +57,7 @@ from toricwedge.wedgepuzzle import (
     signature,
 )
 from oracles import (
+    QMatrix,
     check_facet_table_against_reference,
     check_nonsingular,
     check_shephard_against_reference,

@@ -352,7 +352,10 @@ MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "c
                     ' {"label": "1_1", "v": [0, 1, 0]}]}',
                     '{"n": 2, "cols": [{"label": "x", "v": [1, 0]}]}',
                     '{"n": 2, "cols": [{"label": "1_-1", "v": [1, 0]}]}',
-                    '{"n": 2, "cols": [{"label": "1_1_1", "v": [1, 0]}]}']
+                    '{"n": 2, "cols": [{"label": "1_1_1", "v": [1, 0]}]}',
+                    # a leading zero: read as 1_1, this certified the triangle
+                    '{"n": 2, "cols": [{"label": "01_1", "v": [1, 0]},'
+                    ' {"label": "2_1", "v": [0, 1]}, {"label": "3_1", "v": [-1, -1]}]}']
 
 
 @pytest.mark.parametrize("command", ["check", "reduce", "shephard"])

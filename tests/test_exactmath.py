@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,24 +13,24 @@ from toricwedge.exactmath import (
     FeasibilityResult,
     InvariantViolation,
     NotSquare,
-    OnesNotInKernel,
-    QMatrix,
     StrictLinearSystem,
     _Simplex,
     _optimal_tableau,
     _simplex_functionals,
+    clear_denominators,
     integer_adjugate,
     kernel_basis,
-    kernel_with_ones,
     make_primitive,
     strict_feasible,
 )
 from toricwedge.planefan import PlaneFan, blow_up, hirzebruch_fan
 from toricwedge.shephard import (
+    Prepared,
     _coface_functionals,
     certify,
     coface_indices,
     is_strongly_polytopal,
+    positive_relation,
     prepare,
     shephard_diagram,
 )
@@ -38,15 +40,15 @@ from oracles import (
     coface_families,
     cofactor_matrix,
     EmptyFamily,
+    QMatrix,
     fourier_motzkin_feasible,
     grid_relint_intersection_2d,
     integer_det,
-    is_zero,
     margins,
-    matmul,
     rank,
     reference_kernel_basis,
     reference_kernel_with_ones,
+    reference_positive_relation,
     reference_rank,
     reference_relint_intersection,
     reference_relint_of_simplices,
@@ -61,7 +63,7 @@ Q = Fraction
 
 def pentagon_weighted(d):
     # pentagon ray matrix with each column scaled to make the columns sum to zero
-    return QMatrix.from_rows([[2, 0, -1, -2 * d - 1, 2 * d], [0, 1, 1, 0, -2]])
+    return [[2, 0, -1, -2 * d - 1, 2 * d], [0, 1, 1, 0, -2]]
 
 
 def pentagon_diagram_points(d):
@@ -74,39 +76,99 @@ def pentagon_cofaces(d):
     return [[pts[j] for j in range(5) if j not in (i, (i + 1) % 5)] for i in range(5)]
 
 
+def annihilates(rows, cols):
+    return all(sum(map(mul, r, c)) == 0 for r in rows for c in cols)
+
+
+def check_kernel(rows, ncols):
+    """kernel_basis of integer rows against its contract: ncols - rank
+    primitive integer columns that rows annihilates, each a positive multiple
+    of the Fraction reference column of the same free coordinate."""
+    kern = kernel_basis(rows, ncols)
+    m = QMatrix.from_rows(rows, cols=ncols)
+    ref = reference_kernel_basis(m)
+    assert len(kern) == ncols - rank(m) == ref.cols
+    assert annihilates(rows, kern)
+    for j, v in enumerate(kern):
+        assert len(v) == ncols and all(type(x) is int for x in v)
+        assert make_primitive(v) == v
+        col = ref.column(j)
+        free = col.index(1)
+        assert v[free] > 0 and [Q(x, v[free]) for x in v] == list(col)
+    return kern
+
+
+def diagram_columns(diag):
+    """The columns of [p | 1], one diagram point per row."""
+    return [[diag.points[lab][t] for lab in diag.labels] for t in range(diag.ambient_dim)] + \
+        [[1] * len(diag.labels)]
+
+
+def weighted_matrix(diag):
+    n = len(diag.generators[diag.labels[0]])
+    return [[diag.weights[lab] * diag.generators[lab][r] for lab in diag.labels]
+            for r in range(n)]
+
+
+def check_diagram_kernel(diag):
+    """[p | 1] of a diagram spans the same kernel of the weighted generator
+    matrix as reference_kernel_with_ones, with int point coordinates."""
+    assert all(type(v) is int for p in diag.points.values() for v in p)
+    a = weighted_matrix(diag)
+    cols = diagram_columns(diag)
+    assert annihilates(a, cols)
+    ref = reference_kernel_with_ones(QMatrix.from_rows(a))
+    ref_cols = [list(ref.column(j)) for j in range(ref.cols)]
+    assert ref_cols[-1] == cols[-1]
+    assert rank(QMatrix.from_rows(cols)) == rank(QMatrix.from_rows(cols + ref_cols)) \
+        == len(cols) == ref.cols
+
+
+def zero_sum_prepared(m):
+    """A record that shephard_diagram reads as unit weights on the columns
+    of a matrix with zero row sums."""
+    labels = tuple(range(1, len(m[0]) + 1))
+    gens = {lab: tuple(r[lab - 1] for r in m) for lab in labels}
+    return Prepared(labels, gens, None, (1,) * len(labels))
+
+
+def zero_sum_matrices(rng, trials, max_rows, max_cols, spread):
+    for _ in range(trials):
+        rows = rng.randint(1, max_rows)
+        cols = rng.randint(2, max_cols)
+        m = []
+        for _ in range(rows):
+            r = [rng.randint(-spread, spread) for _ in range(cols - 1)]
+            r.append(-sum(r))
+            m.append(r)
+        yield m
+
+
 class TestKernelBasis:
     def test_full_rank_square_has_trivial_kernel(self):
-        k = kernel_basis(QMatrix.from_rows([[1, 0], [0, 1]]))
-        assert k.cols == 0
+        assert check_kernel([[1, 0], [0, 1]], 2) == []
 
     def test_single_relation(self):
-        k = kernel_basis(QMatrix.from_rows([[1, 1]]))
-        assert k.cols == 1
-        v = k.column(0)
-        assert v[0] == -v[1] != 0
+        assert check_kernel([[1, 1]], 2) == [[-1, 1]]
 
     def test_pentagon_kernel_contains_paper_columns(self):
         a = pentagon_weighted(2)
-        k = kernel_basis(a)
-        assert k.cols == 3
-        assert is_zero(matmul(a, k))
-        b = QMatrix.from_rows([[1, -2, 1], [-2, 2, 1], [2, 0, 1], [0, 0, 1], [0, 1, 1]])
-        assert is_zero(matmul(a, b))
+        assert len(check_kernel(a, 5)) == 3
+        b = [[1, -2, 1], [-2, 2, 1], [2, 0, 1], [0, 0, 1], [0, 1, 1]]
+        assert annihilates(a, [[r[j] for r in b] for j in range(3)])
 
     def test_random_matrices_annihilated(self):
         rng = random.Random(7)
         for _ in range(40):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 5)
-            m = QMatrix.from_rows(
-                [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-            k = kernel_basis(m)
-            assert k.cols == m.cols - rank(m)
-            if k.cols:
-                assert is_zero(matmul(m, k))
-                assert rank(k) == k.cols
+            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            kern = check_kernel(m, cols)
+            if kern:
+                assert rank(QMatrix.from_rows(kern)) == len(kern)
 
     def test_matches_fraction_reference(self):
+        # rational rows, scaled row-wise to integers: the same kernel
         rng = random.Random(13)
         for _ in range(80):
             rows = rng.randint(0, 5)
@@ -115,71 +177,74 @@ class TestKernelBasis:
                 else (lambda: rng.randint(-3, 3))
             m = QMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)],
                                   cols=cols)
-            assert kernel_basis(m) == reference_kernel_basis(m)
+            check_kernel([clear_denominators(r)[0] for r in m.entries], cols)
             assert rank(m) == reference_rank(m)
 
 
 class TestKernelWithOnes:
+    """shephard_diagram takes the kernel basis of the weighted generators
+    and swaps its last column for ones: [p | 1] must span that kernel."""
+
     def test_pentagon(self):
-        a = pentagon_weighted(2)
-        b = kernel_with_ones(a)
-        assert b.cols == 3
-        assert is_zero(matmul(a, b))
-        assert b.column(2) == (Q(1),) * 5
-        assert rank(b) == 3
+        # the paper's weights (2, 1, 1, 5, 2) of the pentagon with d = 2
+        fan = PlaneFan(((1, 0), (0, 1), (-1, 1), (-1, 0), (2, -1)))
+        prep = dataclasses.replace(prepare(fan), weights=(2, 1, 1, 5, 2))
+        diag = shephard_diagram(prep)
+        assert weighted_matrix(diag) == pentagon_weighted(2)
+        check_diagram_kernel(diag)
+        assert diag.ambient_dim == 2
 
     def test_cp1_times_cp1(self):
-        m = QMatrix.from_rows([[1, 0, -1, 0], [0, 1, 0, -1]])
-        b = kernel_with_ones(m)
-        assert is_zero(matmul(m, b))
-        assert b.cols == 2 and rank(b) == 2
-        assert b.column(1) == (Q(1),) * 4
-        # the kernel equals span{(1,0,1,0), ones}: check (1,0,1,0) in col span of b
-        ext = QMatrix.from_rows([list(b.column(0)), list(b.column(1)), [1, 0, 1, 0]])
-        assert rank(ext) == 2
+        diag = shephard_diagram(prepare(PlaneFan(((1, 0), (0, 1), (-1, 0), (0, -1)))))
+        assert diag.weights == {1: 1, 2: 1, 3: 1, 4: 1}
+        check_diagram_kernel(diag)
+        # the kernel equals span{(1,0,1,0), ones}
+        cols = diagram_columns(diag)
+        assert rank(QMatrix.from_rows(cols + [[1, 0, 1, 0]])) == 2
 
     def test_degenerate_ones_only(self):
-        m = QMatrix.from_rows([[1, 0, -1], [0, 1, -1]])
-        b = kernel_with_ones(m)
-        assert b.cols == 1
-        assert b.column(0) == (Q(1),) * 3
-
-    def test_rejects_nonzero_row_sums(self):
-        with pytest.raises(OnesNotInKernel):
-            kernel_with_ones(QMatrix.from_rows([[1, 0], [0, 1]]))
+        diag = shephard_diagram(zero_sum_prepared([[1, 0, -1], [0, 1, -1]]))
+        assert diag.ambient_dim == 0
+        assert diagram_columns(diag) == [[1, 1, 1]]
 
     def test_random_zero_sum_matrices(self):
         rng = random.Random(11)
-        for _ in range(30):
-            rows = rng.randint(1, 3)
-            cols = rng.randint(2, 6)
-            m = []
-            for _ in range(rows):
-                r = [rng.randint(-3, 3) for _ in range(cols - 1)]
-                r.append(-sum(r))
-                m.append(r)
-            q = QMatrix.from_rows(m)
-            b = kernel_with_ones(q)
-            assert is_zero(matmul(q, b))
-            assert b.column(b.cols - 1) == (Q(1),) * cols
-            assert rank(b) == b.cols == cols - rank(q)
+        for m in zero_sum_matrices(rng, 30, 3, 6, 3):
+            diag = shephard_diagram(zero_sum_prepared(m))
+            assert annihilates(m, diagram_columns(diag))
+            assert diag.ambient_dim + 1 == len(m[0]) - rank(QMatrix.from_rows(m))
 
     def test_matches_greedy_reference(self):
         rng = random.Random(19)
         kernel_dims = set()
-        for _ in range(60):
-            rows = rng.randint(1, 4)
-            cols = rng.randint(2, 7)
-            m = []
-            for _ in range(rows):
-                r = [rng.randint(-4, 4) for _ in range(cols - 1)]
-                r.append(-sum(r))
-                m.append(r)
-            q = QMatrix.from_rows(m)
-            b = kernel_with_ones(q)
-            assert b == reference_kernel_with_ones(q)
-            kernel_dims.add(b.cols)
+        for m in zero_sum_matrices(rng, 60, 4, 7, 4):
+            diag = shephard_diagram(zero_sum_prepared(m))
+            check_diagram_kernel(diag)
+            kernel_dims.add(diag.ambient_dim + 1)
         assert 1 in kernel_dims and max(kernel_dims) >= 3
+        for obj in [p.matrix for p in golden_puzzles()] + blown_up_fans():
+            check_diagram_kernel(shephard_diagram(prepare(obj)))
+
+
+class TestPositiveRelationAgainstReference:
+    """positive_relation over the kernel coordinates gives the same weights
+    as the LP over all m weights that it replaced."""
+
+    def test_golden_puzzles_and_blown_up_fans(self):
+        for obj in [p.matrix for p in golden_puzzles()] + blown_up_fans():
+            prep = prepare(obj)
+            gens = [prep.generators[lab] for lab in prep.labels]
+            assert prep.weights == reference_positive_relation(gens)
+
+    def test_pentagon_family(self):
+        for d in range(-3, 8):
+            rays = ((1, 0), (0, 1), (-1, 1), (-1, 0), (d, -1))
+            assert positive_relation(rays) == reference_positive_relation(rays)
+
+    def test_48_ray_fan(self):
+        for k in (0, 24):
+            rays = fan_48(k).rays
+            assert positive_relation(rays) == reference_positive_relation(rays)
 
 
 def criterion_8_systems(seed=271828, trials=500):
@@ -233,6 +298,16 @@ def blown_up_fans():
             if fan.m in (7, 10, 13, 16):
                 fans += [PlaneFan(fan.rays[k:] + fan.rays[:k]) for k in (0, fan.m // 2)]
     return fans
+
+
+def fan_48(k):
+    """hirzebruch_fan(1) blown up to 48 rays at seeded positions, labelled
+    from ray k."""
+    rng = random.Random(7)
+    fan = hirzebruch_fan(1)
+    while fan.m < 48:
+        fan = blow_up(fan, rng.randrange(fan.m))
+    return PlaneFan(fan.rays[k:] + fan.rays[:k])
 
 
 def golden_puzzles():
@@ -713,12 +788,8 @@ class TestWarmStart:
         # the Shephard oracle on 48 rays, labelled from ray 0 and from ray
         # 24, in at most 300 pivots where re-solving every round from the
         # first pivot takes 394 and 1,085
-        rng = random.Random(7)
-        fan = hirzebruch_fan(1)
-        while fan.m < 48:
-            fan = blow_up(fan, rng.randrange(fan.m))
         for k in (0, 24):
-            prep = prepare(PlaneFan(fan.rays[k:] + fan.rays[:k]))
+            prep = prepare(fan_48(k))
             pivots = []
             pivot = _Simplex.pivot
 

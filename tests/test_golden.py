@@ -6,7 +6,9 @@ of the facet and coface solves, so any change to `classify`, `check` or
 them and say why in CHANGES.md.  The pins of 2,1,2,1,1, 2,2,1,1,1 and the
 wedge matrix were re-recorded when the Shephard LP moved to row generation
 and a shift column, which changes Shephard witnesses and barycentric
-coordinates.  Two tests compare every Shephard verdict on these inputs
+coordinates.  One pin is also run as a child process with two workers under
+two string hash seeds, which must print the same bytes.  Two tests compare
+every Shephard verdict on these inputs
 with one solve of the whole coface system, and two more compare the facet
 table and its Gale coface functionals with the per-facet determinants and
 per-coface adjugates they replaced.
@@ -14,9 +16,14 @@ per-coface adjugates they replaced.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricwedge
 from toricwedge.cli import main
 from toricwedge.planefan import fan_from_dict
 from toricwedge.wedgepuzzle import assemble_matrix, enumerate_puzzles, matrix_from_dict, signature
@@ -65,6 +72,20 @@ def stdout_digest(argv, capsys):
 def test_classify_output_pinned(j, capsys):
     argv = ["classify", "--m", "5", "--j", j, "--base-depth", "2", "--e-bound", "2"]
     assert stdout_digest(argv, capsys) == GOLDEN_CLASSIFY[j]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_classify_output_independent_of_workers_and_hash_seed(hash_seed):
+    """Two worker processes under two string hash seeds print the bytes
+    pinned for one in-process run."""
+    src = str(Path(toricwedge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricwedge", "classify", "--m", "5", "--j", "2,1,2,1,1",
+         "--base-depth", "2", "--e-bound", "2", "--workers", "2"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed})
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_CLASSIFY["2,1,2,1,1"]
 
 
 @pytest.mark.parametrize("command,name", sorted(GOLDEN_INPUT))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricwedge import shephard
-from toricwedge.exactmath import InvariantViolation, QMatrix
+from toricwedge.exactmath import InvariantViolation, clear_denominators, kernel_basis
 from toricwedge.planefan import (
     NoOppositeRay,
     PlaneFan,
@@ -42,6 +42,7 @@ from toricwedge.wedgepuzzle import (
     facet_table,
 )
 from oracles import (
+    QMatrix,
     check_facet_table_against_reference,
     check_shephard_against_reference,
     is_zero,
@@ -138,6 +139,9 @@ class TestPositiveRelation:
     def test_incomplete_rejected(self):
         with pytest.raises(NotComplete):
             positive_relation([(1, 0), (0, 1), (1, 1)])
+        # a trivial kernel: no relation at all
+        with pytest.raises(NotComplete):
+            positive_relation([(1, 0), (0, 1)])
 
     def test_assembled_wedge_always_feasible(self):
         mat = assemble_matrix(single_wedge_puzzle(pentagon(2), 1, 1))
@@ -376,6 +380,10 @@ class TestFacetTable:
         assert s_sigma(diag, table) == reference_s_sigma(diag, pentagon_facets())
         with pytest.raises(InvariantViolation):
             s_sigma(moved, table)
+        # weights that are no relation: ones leaves the weighted kernel
+        prep = dataclasses.replace(prepare(pentagon(2)), weights=(1, 1, 1, 1, 1))
+        with pytest.raises(InvariantViolation):
+            s_sigma(shephard_diagram(prep), prep.table)
 
     def test_paper_diagrams_match_reference(self):
         for d in range(6):
@@ -502,10 +510,10 @@ class TestHalfPlaneLemma:
                         diag.points[(4, 1)], radon]
                 hom = QMatrix.from_rows([[*p, Q(1)] for p in quad])
                 assert rank(hom) <= 3
-                from toricwedge.exactmath import kernel_basis
-                kern = kernel_basis(transpose(hom))
-                assert kern.cols == 1
-                rel = kern.column(0)
+                kern = kernel_basis(
+                    [clear_denominators(r)[0] for r in transpose(hom).entries], 4)
+                assert len(kern) == 1
+                rel = kern[0]
                 assert rel[0] * rel[1] < 0  # copies enter with opposite signs
 
 
