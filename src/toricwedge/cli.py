@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .exactmath import InvariantViolation
 from .planefan import (
-    FanError,
     fan_from_dict,
     fan_to_dict,
     hirzebruch_fan,
@@ -25,8 +24,6 @@ from .planefan import (
     rotation_numbers,
 )
 from .shephard import (
-    NotComplete,
-    SingularInput,
     certify,
     coface_indices,
     prepare,
@@ -34,7 +31,6 @@ from .shephard import (
     shephard_diagram,
 )
 from .wedgepuzzle import (
-    InvalidPuzzle,
     enumerate_puzzles,
     matrix_from_dict,
     matrix_to_dict,
@@ -46,6 +42,10 @@ EXIT_PROJECTIVE = 0
 EXIT_NOT_POLYTOPAL = 1
 EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 3
+
+# input errors of check, reduce and shephard: every error the library raises
+# on a bad input, and json's on a malformed file, is a ValueError
+INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
 def frac_str(x) -> str:
@@ -144,8 +144,7 @@ def cmd_check(args) -> int:
     try:
         obj = load_input(args.infile)
         verdict, cert1, cert2 = certify(obj)
-    except (FanError, InvalidPuzzle, SingularInput, NotComplete, ValueError,
-            KeyError, json.JSONDecodeError, OSError) as e:
+    except INPUT_ERRORS as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
     if verdict == "oracle-disagreement":
@@ -175,7 +174,7 @@ def cmd_reduce(args) -> int:
         if not hasattr(fan, "rays"):
             raise ValueError("reduce expects a plane fan")
         base, trace = reduce_to_base(fan)
-    except (FanError, ValueError, KeyError, json.JSONDecodeError, OSError) as e:
+    except INPUT_ERRORS as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
     _write({
@@ -191,8 +190,7 @@ def cmd_shephard(args) -> int:
         prep = prepare(load_input(args.infile))
         diagram = shephard_diagram(prep)
         cert = s_sigma(diagram, prep.table)
-    except (FanError, InvalidPuzzle, SingularInput, NotComplete, ValueError,
-            KeyError, json.JSONDecodeError, OSError) as e:
+    except INPUT_ERRORS as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
     out = {

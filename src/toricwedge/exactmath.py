@@ -10,21 +10,21 @@ column mu >= 0.
 The loops run on integers: integer constraint rows stay integers, the
 simplex runs on a condensed all-integer tableau (only the nonbasic columns
 are stored) with an integer objective row, and slack and barycentric
-coordinates are computed over one common denominator.  Kernels are integer
-in and out: kernel_basis reduces integer rows fraction-free and returns
-primitive integer columns.  Fraction remains only in non-integer constraint
-entries and in the witness, slack and barycentric tuples of a result.
+coordinates are computed over one common denominator.  Fraction remains only
+in non-integer constraint entries and in the witness, slack and barycentric
+tuples of a result.
 
-Facet and coface matrices are inverted one way only: integer_adjugate, a
-fraction-free Gauss-Jordan elimination that returns the integer adjugate and
-the determinant together.  The relative interiors of full simplices are
-intersected by row generation (_relint_of_simplices): a few barycentric
-functionals per simplex, the violated ones added until the witness
-satisfies all of them.  Only the first round is a two-phase solve; each
-later round appends its rows to the optimal tableau and restores it by dual
-simplex pivots, with Bland's rule in both directions.  It takes the
+One elimination serves kernels and inverses: _rref, Bareiss's fraction-free
+Gauss-Jordan elimination.  kernel_basis reads primitive integer kernel
+columns from it, and integer_inverse reads the inverse of a facet or coface
+matrix as an integer matrix over |det|.  The relative interiors of full
+simplices are intersected by row generation (_relint_of_simplices): a few
+barycentric functionals per simplex, the violated ones added until the
+witness satisfies all of them.  Only the first round is a two-phase solve;
+each later round appends its rows to the optimal tableau and restores it by
+dual simplex pivots, with Bland's rule in both directions.  It takes the
 functionals of _simplex_functionals or those the Shephard oracle derives by
-Gale duality from the facet adjugates.
+Gale duality from the facet inverses.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _gcd
-from math import lcm
 from operator import mul as _mul
 from typing import Optional, Sequence
 
@@ -40,10 +39,6 @@ Q = Fraction
 
 
 class DimensionMismatch(ValueError):
-    pass
-
-
-class NotSquare(ValueError):
     pass
 
 
@@ -56,90 +51,80 @@ def _exact(x):
     return x if type(x) is int else Fraction(x)
 
 
-def _rref(rows) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of integer rows by fraction-free Gauss-Jordan
-    elimination.
+def _rref(rows) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of integer rows by Bareiss's fraction-free
+    Gauss-Jordan elimination (E. H. Bareiss, Math. Comp. 22, 1968).
 
-    Returns (rows, pivots) with one integer row per pivot: entry (r, c) of the
-    RREF is rows[r][c] / rows[r][pivots[r]].  Each updated row is divided by
-    its content.
+    Returns (rows, pivots, d) with one integer row per pivot and d > 0:
+    entry (r, c) of the RREF is rows[r][c] / d.  Each step multiplies every
+    row by its pivot and divides it exactly by the previous one, so every
+    entry stays an integer minor and every pivot entry ends equal to the last
+    pivot, which the rows are negated to make positive.  A column without a
+    pivot is skipped.
     """
-    rows = list(rows)
+    a = list(rows)
     pivots = []
+    prev = 1
     r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
+    for c in range(len(a[0]) if a else 0):
+        if not a[r][c]:
+            swap = next((i for i in range(r + 1, len(a)) if a[i][c]), None)
+            if swap is None:
+                continue
+            a[r], a[swap] = a[swap], a[r]
+        prow = a[r]
         pv = prow[c]
-        for i, ri in enumerate(rows):
-            f = ri[c]
-            if f and i != r:
-                ri = [pv * a - f * b for a, b in zip(ri, prow)]
-                g = _gcd(*ri)
-                rows[i] = [x // g for x in ri] if g > 1 else ri
+        for i, ri in enumerate(a):
+            if i != r:
+                f = ri[c]
+                if f:
+                    a[i] = [(pv * x - f * y) // prev for x, y in zip(ri, prow)]
+                elif pv != prev:
+                    # a row with nothing to eliminate is only rescaled
+                    a[i] = [pv * x // prev for x in ri]
+        prev = pv
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(a):
             break
-    return rows[:r], pivots
+    if prev < 0:
+        return [[-x for x in ri] for ri in a[:r]], pivots, -prev
+    return a[:r], pivots, prev
 
 
 def kernel_basis(rows, ncols: int) -> list[list[int]]:
     """Basis of the right kernel of an integer matrix with ncols columns.
 
     One primitive integer column per free coordinate of the RREF, positive on
-    that coordinate and zero on the other free ones: the RREF's unit vector
-    scaled by the lcm of the pivots.  The matrix times each column is exactly
-    zero, and there are ncols - rank columns.
+    that coordinate and zero on the other free ones: d on the free coordinate
+    and minus the free column's entry of each _rref row on its pivot
+    coordinate.  The matrix times each column is exactly zero, and there are
+    ncols - rank columns.
     """
-    rows, pivots = _rref(rows)
-    scale = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    rows, pivots, d = _rref(rows)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
-        v[f] = scale
+        v[f] = d
         for row, p in zip(rows, pivots):
-            v[p] = -row[f] * (scale // row[p])
+            v[p] = -row[f]
         basis.append(make_primitive(v))
     return basis
 
 
-def integer_adjugate(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
-    """(adj(m), det(m)) of a nonsingular integer matrix, or None if singular.
+def integer_inverse(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """(N, den) with m^-1 = N / den and den = |det(m)| for a nonsingular
+    square integer matrix m, or None if m is singular.
 
-    One fraction-free Gauss-Jordan elimination of [m | I]: every entry stays
-    an integer minor, the left block ends as d*I and the right block as
-    d*m^-1 = +-adj(m), where d is the determinant of the row-swapped matrix.
+    One _rref of [m | I]: the left block ends as den*I and the right block
+    as den*m^-1 = sign(det)*adj(m); m is singular when the pivots are not
+    the columns of m.
     """
     n = len(m)
-    if any(len(r) != n for r in m):
-        raise NotSquare("matrix is not square")
-    a = [list(map(int, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return None
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pk = a[k]
-        pv = pk[k]
-        for i in range(n):
-            if i != k:
-                ri = a[i]
-                f = ri[k]
-                if f:
-                    a[i] = [(pv * x - f * y) // prev for x, y in zip(ri, pk)]
-                elif pv != prev:
-                    # a row with nothing to eliminate is only rescaled
-                    a[i] = [pv * x // prev for x in ri]
-        prev = pv
-    return [[sign * x for x in r[n:]] for r in a], sign * prev
+    rows, pivots, den = _rref([[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(m)])
+    if pivots != list(range(n)):
+        return None
+    return [r[n:] for r in rows], den
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
@@ -460,19 +445,17 @@ def _simplex_functionals(fam):
 
     Returns (rows, factor) with lambda_j(x) = factor * (rows[j] . (x, 1)) and
     factor > 0, or None when the points are affinely dependent.  rows[j] is
-    column j of the adjugate of the integer matrix whose rows are (k*p, k),
-    k clearing every denominator, sign-normalized by its determinant.
+    column j of N, where N / den is the integer_inverse of the integer
+    matrix whose rows are (k*p, k), k clearing every denominator.
     """
     dim = len(fam[0])
     ints, scale = clear_denominators([v for p in fam for v in p])
     m = [ints[i * dim:(i + 1) * dim] + [scale] for i in range(len(fam))]
-    inv = integer_adjugate(m)
+    inv = integer_inverse(m)
     if inv is None:
         return None
-    adj, det = inv
-    sgn = 1 if det > 0 else -1
-    rows = [[sgn * adj[c][j] for c in range(dim + 1)] for j in range(dim + 1)]
-    return rows, Q(scale, abs(det))
+    inv_rows, den = inv
+    return [list(col) for col in zip(*inv_rows)], Q(scale, den)
 
 
 def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:

@@ -160,7 +160,7 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     reference coface (the first facet's), mu extended by zero, by a vector
     c_j u_j . z, and vanishing on sigma fixes z:
         lambda_j = mu_j - c_j sum_{s in sigma} (A_sigma^-1 u_j)_s mu_s / c_s,
-    with A_sigma^-1 = adj / det from the table.  It applies when every facet
+    with A_sigma^-1 = N / den from the table.  It applies when every facet
     matrix is nonsingular, every coface has ambient_dim + 1 points, the
     weights are nonzero integers and A diag(c) [p_j | 1] = 0, which is how
     shephard_diagram builds a diagram from a prepared input; any other
@@ -193,10 +193,9 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     # mu_s / c_s over the common denominator scale
     nu = {s: [scale // weights[s] * v for v in mu[s]] for s in ref}
     out = []
-    for facet, (adj, det) in zip(table.facets, table.inverses):
-        sgn = 1 if det > 0 else -1
-        d = sgn * det * scale
-        in_ref = [(adj[k], nu[s]) for k, s in enumerate(facet) if s in nu]
+    for facet, (inv, den) in zip(table.facets, table.inverses):
+        d = den * scale
+        in_ref = [(inv[k], nu[s]) for k, s in enumerate(facet) if s in nu]
         members = set(facet)
         rows = []
         for j in labels:
@@ -204,9 +203,8 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
                 continue
             row = [d * v for v in mu[j]] if j in mu else [0] * (dim + 1)
             u = gens[j]
-            cj = sgn * weights[j]
-            for adj_s, nu_s in in_ref:
-                w = cj * sum(map(_mul, adj_s, u))
+            for inv_s, nu_s in in_ref:
+                w = weights[j] * sum(map(_mul, inv_s, u))
                 if w:
                     row = [a - w * b for a, b in zip(row, nu_s)]
             rows.append(row)
@@ -253,20 +251,20 @@ def support_function_polytopal(prep: Prepared) -> tuple[bool, PolytopalityCertif
     strict = []
     seen = set()
     for fi in range(len(facets)):
-        adj, u_det = table.inverses[fi]
+        inv = table.inverses[fi][0]
         for fj in range(fi + 1, len(facets)):
             if len(facet_sets[fi] & facet_sets[fj]) != n - 1:
                 continue
             # one strict bend condition per wall; the reverse direction is
             # the same inequality expressed through the other cone.  The
-            # facet matrix U is unimodular, so the weights of u_r in its
-            # columns, det(U) * adj(U) . u_r, are integers (Cramer's rule).
+            # facet matrix U is unimodular, so its inverse is N / 1 and the
+            # weights of u_r in its columns, N . u_r, are integers.
             r_out = next(iter(facet_sets[fj] - facet_sets[fi]))
             ur = gens[r_out]
             row = [0] * len(free)
             for k, lab in enumerate(facets[fi]):
                 if lab in pos:
-                    row[pos[lab]] += sum(a * x for a, x in zip(adj[k], ur)) * u_det
+                    row[pos[lab]] += sum(a * x for a, x in zip(inv[k], ur))
             if r_out in pos:
                 row[pos[r_out]] -= 1
             key = tuple(row)

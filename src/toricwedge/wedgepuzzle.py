@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .exactmath import InvariantViolation, integer_adjugate
+from .exactmath import InvariantViolation, integer_inverse
 from .planefan import (
     NoOppositeRay,
     PlaneFan,
@@ -282,10 +282,10 @@ def project_to_vertex(mat: CharMatrix, alpha) -> PlaneFan:
 
 @dataclass(frozen=True)
 class FacetTable:
-    """Each facet's labels, sorted, with the (adjugate, determinant) of its
-    generator matrix: the matrix whose columns are the facet's generators in
-    label order, None when it is singular or not square.  Iterating over a
-    table gives its facets."""
+    """Each facet's labels, sorted, with the integer_inverse (N, den) of its
+    generator matrix, the matrix whose columns are the facet's generators in
+    label order: its inverse is N / den with den > 0.  None when the matrix
+    is singular or not square.  Iterating over a table gives its facets."""
 
     facets: tuple[tuple, ...]
     inverses: tuple[Optional[tuple[list[list[int]], int]], ...]
@@ -296,12 +296,12 @@ class FacetTable:
     @property
     def unimodular(self) -> bool:
         """Whether every facet minor is +-1."""
-        return all(inv is not None and abs(inv[1]) == 1 for inv in self.inverses)
+        return all(inv is not None and inv[1] == 1 for inv in self.inverses)
 
 
 def facet_table(generators: dict, facets) -> FacetTable:
     """The FacetTable of label sets over labeled integer generators, one
-    integer_adjugate per facet."""
+    integer_inverse per facet."""
     n = len(next(iter(generators.values())))
     keys = []
     inverses = []
@@ -309,7 +309,7 @@ def facet_table(generators: dict, facets) -> FacetTable:
         labs = tuple(sorted(facet))
         keys.append(labs)
         inverses.append(
-            integer_adjugate([[generators[lab][c] for lab in labs] for c in range(n)])
+            integer_inverse([[generators[lab][c] for lab in labs] for c in range(n)])
             if len(labs) == n else None)
     return FacetTable(tuple(keys), tuple(inverses))
 
@@ -366,29 +366,6 @@ def _transform_fan(fan: PlaneFan, pos_map, reflect: bool) -> PlaneFan:
     return PlaneFan(tuple(rays))
 
 
-def _copy_classes(p: Puzzle, verts, color: int):
-    """Class of each copy of a color: two copies share a class iff swapping
-    them leaves every fan of the puzzle in place."""
-    slices = {}
-    for a in verts:
-        slices.setdefault(a[color], []).append(p.assignment[a].rays)
-    first = {}
-    return {k: first.setdefault(tuple(sl), k) for k, sl in slices.items()}
-
-
-def _tie_orders(group, classes):
-    """Every order of a run of copies with equal single-copy fans that can
-    give a different key: one order when all of them are interchangeable."""
-    seen = set()
-    out = []
-    for perm in itertools.permutations(group):
-        pattern = tuple(classes[k] for k in perm)
-        if pattern not in seen:
-            seen.add(pattern)
-            out.append(perm)
-    return out
-
-
 def puzzle_canonical_key(p: Puzzle):
     """Minimal serialization over polygon symmetries, copy relabelings per
     color, and a simultaneous basis change.  Keys are comparable across
@@ -408,10 +385,9 @@ def puzzle_canonical_key(p: Puzzle):
     every vertex that depends on copies k' > k of that color, so swapping an
     out-of-order pair k < k' changes nothing before it and lowers the fan
     there.  The ∏ j_i! copy permutations thus reduce to ∏ j_i base choices.
-    Copies whose single-copy fans tie may still differ at other vertices, and
-    then every order of the tied run is tried; tied copies that swap without
-    moving any fan (always the case for enumerated puzzles, where equal
-    single-copy fans mean equal offsets) need one order only.
+    The offsets define every fan and a shift by e is undone by a shift by
+    -e, so copies whose single-copy fans tie have equal offsets, and swapping
+    them moves no fan: one order of a tied run gives the key.
     """
     sig = p.sig
     m, J = sig.m, sig.J
@@ -431,31 +407,23 @@ def puzzle_canonical_key(p: Puzzle):
             bases.append((apply_unimodular(moved[b], u).rays, pos_map, moved, b, u))
     least = min(base for base, *_ in bases)
     new_verts = list(itertools.product(*[range(1, j + 1) for j in new_j]))
-    classes = {o: _copy_classes(p, verts, o) for o in range(m) if J[o] > 1}
-    best = None
+    keys = []
     for base, pos_map, moved, b, u in bases:
         if base != least:
             continue
-        per_position = []
+        gs = []
         for o in pos_map:
             rest = [k for k in range(1, J[o] + 1) if k != b[o]]
-            single = {k: apply_unimodular(moved[b[:o] + (k,) + b[o + 1:]], u).rays
-                      for k in rest}
-            rest.sort(key=single.__getitem__)
-            runs = [list(g) for _, g in itertools.groupby(rest, key=single.__getitem__)]
-            choices = [_tie_orders(run, classes[o]) for run in runs]
-            per_position.append([(b[o],) + sum(c, ()) for c in itertools.product(*choices)])
-        for gs in itertools.product(*per_position):
-            old = [None] * m
-            fans = []
-            for alpha in new_verts:
-                for x, o in enumerate(pos_map):
-                    old[o] = gs[x][alpha[x] - 1]
-                fans.append((alpha, apply_unimodular(moved[tuple(old)], u).rays))
-            key = (new_j, tuple(fans))
-            if best is None or key < best:
-                best = key
-    return best
+            rest.sort(key=lambda k: apply_unimodular(moved[b[:o] + (k,) + b[o + 1:]], u).rays)
+            gs.append([b[o]] + rest)
+        old = [None] * m
+        fans = []
+        for alpha in new_verts:
+            for x, o in enumerate(pos_map):
+                old[o] = gs[x][alpha[x] - 1]
+            fans.append((alpha, apply_unimodular(moved[tuple(old)], u).rays))
+        keys.append((new_j, tuple(fans)))
+    return min(keys)
 
 
 def shifted_assignment(sig: WedgeSignature, base: PlaneFan, offsets) -> dict:
@@ -536,6 +504,9 @@ def matrix_from_dict(data: dict) -> CharMatrix:
         match = isinstance(label, str) and re.fullmatch(r"([1-9][0-9]*)_([1-9][0-9]*)", label)
         if not match:
             raise ValueError(f"column label {label!r} is not i_k with integers i, k >= 1")
+        # a matrix over P_m(J) has d = sum(J) >= m columns and k <= j_i
+        if max(int(match[1]), int(match[2])) > len(data["cols"]):
+            raise ValueError(f"column label {label!r} has an index above the column count")
         labels.append((int(match[1]), int(match[2])))
         cols.append([int(x) for x in entry["v"]])
     n = int(data["n"])

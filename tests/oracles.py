@@ -3,7 +3,9 @@
 These deliberately avoid the library's simplex path so that agreement is
 meaningful: Fourier-Motzkin elimination for feasibility, a rational grid
 sweep for relative-interior membership in the plane, and a minor-by-minor
-cofactor matrix against which the library's integer adjugate is checked.
+cofactor matrix.  The cofactors check integer_adjugate, the row-swapping
+fraction-free inverse the library ran before, and integer_adjugate checks
+the library's integer_inverse, one Bareiss _rref of [m | I].
 The feasibility engine is checked against the earlier simplex that kept
 every column of the tableau and its objective row in Fractions (in the same
 shift-column layout), the
@@ -15,10 +17,11 @@ QMatrix; the diagram that shephard_diagram takes from it against
 reference_kernel_with_ones, the greedy rank loop that once built the
 diagram; and the positive relation over the kernel coordinates against
 reference_positive_relation, the LP over all m weights with one equality
-row per coordinate that it replaced.  The facet
-table is checked against one integer_det per facet minor, and the coface
-functionals it gives by Gale duality against one barycentric adjugate per
-coface, the route s_sigma took through relint_intersection before.  The
+row per coordinate that it replaced.  Each facet
+inverse N / den of the facet table is checked by N . U = den * I and
+against one integer_det of its minor U, and the coface functionals it gives
+by Gale duality against one barycentric inverse per coface, the route
+s_sigma took through relint_intersection before.  The
 puzzle classes are checked against a canonical key that tries every
 copy permutation, an enumeration over every ordered offset tuple, and the
 offset-multiset enumeration that checked every square of G(J) of every
@@ -28,12 +31,14 @@ where the library shifts by the known difference of two offsets, and
 AssignedPuzzle holds a fan at every vertex of G(J), so that tests can give
 the library assignments that no base and offsets produce.
 
-relint_intersection, integer_det, verify_result, QMatrix with its helpers
-(matmul, transpose, is_zero, rank) and matrix_from_fan live here because the
-library no longer calls them: relint_intersection sends full simplices to
-the library's row generation and any other family to an encoding with
-explicit barycentric variables, the one the library used for them, and the
-library's kernels take and return integer lists rather than a QMatrix.
+relint_intersection, integer_det, integer_adjugate with NotSquare,
+verify_result, QMatrix with its helpers (matmul, transpose, is_zero, rank)
+and matrix_from_fan live here because the library no longer calls them:
+relint_intersection sends full simplices to the library's row generation
+and any other family to an encoding with explicit barycentric variables,
+the one the library used for them, the library inverts only square
+matrices, through integer_inverse, and its kernels take and return integer
+lists rather than a QMatrix.
 """
 
 from dataclasses import dataclass
@@ -48,7 +53,6 @@ from toricwedge.exactmath import (
     DimensionMismatch,
     FeasibilityResult,
     InvariantViolation,
-    NotSquare,
     StrictLinearSystem,
     _rref,
     _relint_of_simplices,
@@ -117,6 +121,10 @@ class QMatrix:
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.entries)
+
+
+class NotSquare(ValueError):
+    pass
 
 
 def integer_det(m):
@@ -221,6 +229,41 @@ def explicit_relint_intersection(fams, dim):
     w = res.witness
     bary = tuple(tuple(w[offsets[fi] + j] for j in range(sizes[fi])) for fi in range(len(fams)))
     return FeasibilityResult(True, w[:dim], res.slack, bary)
+
+
+def integer_adjugate(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """(adj(m), det(m)) of a nonsingular integer matrix, or None if singular,
+    the library's inverse before integer_inverse.
+
+    One fraction-free Gauss-Jordan elimination of [m | I]: every entry stays
+    an integer minor, the left block ends as d*I and the right block as
+    d*m^-1 = +-adj(m), where d is the determinant of the row-swapped matrix.
+    """
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise NotSquare("matrix is not square")
+    a = [list(map(int, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return None
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pk = a[k]
+        pv = pk[k]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                f = ri[k]
+                if f:
+                    a[i] = [(pv * x - f * y) // prev for x, y in zip(ri, pk)]
+                elif pv != prev:
+                    a[i] = [pv * x // prev for x in ri]
+        prev = pv
+    return [[sign * x for x in r[n:]] for r in a], sign * prev
 
 
 def cofactor_matrix(m):
@@ -738,8 +781,9 @@ def _same_functionals(a, b) -> bool:
 
 def check_facet_table_against_reference(obj):
     """The facet table and the Gale functionals of a valid input against the
-    routes they replaced: the table is unimodular and every facet
-    determinant equals integer_det of its minor, every coface functional
+    routes they replaced: the table is unimodular, every facet inverse
+    N / den has N . U = den * I and den = |integer_det(U)| for its minor U,
+    every coface functional
     equals the one _simplex_functionals computes from the coface's points,
     exactly as rationals, and s_sigma gives the certificate that the
     reference gives from those functionals, as relint_intersection did.
@@ -752,8 +796,12 @@ def check_facet_table_against_reference(obj):
     if not isinstance(obj, PlaneFan):
         assert reference_check_nonsingular(obj, build_complex(obj.signature_of()))
     n = len(next(iter(gens.values())))
-    for facet, (_, det) in zip(table.facets, table.inverses):
-        assert det == integer_det([[gens[lab][c] for lab in facet] for c in range(n)])
+    for facet, (inv, den) in zip(table.facets, table.inverses):
+        u = [[gens[lab][c] for lab in facet] for c in range(n)]
+        assert den == abs(integer_det(u))
+        # N . U = den * I
+        assert all(sum(inv[i][k] * u[k][j] for k in range(n)) == den * (i == j)
+                   for i in range(n) for j in range(n))
     gale = _coface_functionals(diagram, table)
     assert full is not None, "some coface is not a nonsingular full simplex"
     wants = full[1]

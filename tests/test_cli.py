@@ -355,7 +355,13 @@ MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "c
                     '{"n": 2, "cols": [{"label": "1_1_1", "v": [1, 0]}]}',
                     # a leading zero: read as 1_1, this certified the triangle
                     '{"n": 2, "cols": [{"label": "01_1", "v": [1, 0]},'
-                    ' {"label": "2_1", "v": [0, 1]}, {"label": "3_1", "v": [-1, -1]}]}']
+                    ' {"label": "2_1", "v": [0, 1]}, {"label": "3_1", "v": [-1, -1]}]}',
+                    # a color index above the column count: the signature of
+                    # this label once allocated a list of 10^11 entries
+                    '{"n": 2, "cols": [{"label": "100000000000_1", "v": [-1, -1]},'
+                    ' {"label": "1_1", "v": [1, 0]}, {"label": "2_1", "v": [0, 1]}]}',
+                    '{"n": 2, "cols": [{"label": "1_4", "v": [-1, -1]},'
+                    ' {"label": "1_1", "v": [1, 0]}, {"label": "2_1", "v": [0, 1]}]}']
 
 
 @pytest.mark.parametrize("command", ["check", "reduce", "shephard"])

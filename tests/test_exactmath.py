@@ -12,13 +12,13 @@ from toricwedge.exactmath import (
     DimensionMismatch,
     FeasibilityResult,
     InvariantViolation,
-    NotSquare,
     StrictLinearSystem,
     _Simplex,
     _optimal_tableau,
+    _rref,
     _simplex_functionals,
     clear_denominators,
-    integer_adjugate,
+    integer_inverse,
     kernel_basis,
     make_primitive,
     strict_feasible,
@@ -36,6 +36,7 @@ from toricwedge.shephard import (
 )
 from toricwedge.wedgepuzzle import enumerate_puzzles, signature
 from oracles import (
+    _reference_rref,
     assert_relint_certificate,
     coface_families,
     cofactor_matrix,
@@ -43,7 +44,9 @@ from oracles import (
     QMatrix,
     fourier_motzkin_feasible,
     grid_relint_intersection_2d,
+    integer_adjugate,
     integer_det,
+    NotSquare,
     margins,
     rank,
     reference_kernel_basis,
@@ -871,26 +874,22 @@ class TestIntegerDet:
                 assert got == expect
 
 
-class TestIntegerAdjugate:
+class TestIntegerInverse:
     def test_empty_matrix(self):
-        assert integer_adjugate([]) == ([], 1)
-
-    def test_not_square(self):
-        with pytest.raises(NotSquare):
-            integer_adjugate([[1, 2, 3], [4, 5, 6]])
+        assert integer_inverse([]) == ([], 1)
 
     def test_zero_leading_entry_swaps_rows(self):
+        # det = -1: N = sign(det) * adj = -adj, over den = |det|
         m = [[0, 1], [1, 0]]
-        adj, det = integer_adjugate(m)
-        assert det == -1
-        assert adj == [[0, -1], [-1, 0]]
+        assert integer_inverse(m) == ([[0, 1], [1, 0]], 1)
+        assert integer_adjugate(m) == ([[0, -1], [-1, 0]], -1)
 
     def test_singular_returns_none(self):
-        assert integer_adjugate([[1, 2], [2, 4]]) is None
-        assert integer_adjugate([[0, 0, 1], [0, 0, 2], [3, 4, 5]]) is None
-        assert integer_adjugate([[0]]) is None
+        assert integer_inverse([[1, 2], [2, 4]]) is None
+        assert integer_inverse([[0, 0, 1], [0, 0, 2], [3, 4, 5]]) is None
+        assert integer_inverse([[0]]) is None
 
-    def test_matches_cofactor_reference(self):
+    def test_matches_adjugate_reference(self):
         rng = random.Random(11)
         singular = swapped = 0
         for trial in range(400):
@@ -901,20 +900,67 @@ class TestIntegerAdjugate:
                 swapped += 1
             if n > 2 and trial % 7 == 0:
                 m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]  # dependent row
-            det = integer_det(m)
-            got = integer_adjugate(m)
-            if det == 0:
-                assert got is None
+            got = integer_inverse(m)
+            ref = integer_adjugate(m)
+            if ref is None:
+                assert got is None and integer_det(m) == 0
                 singular += 1
                 continue
-            adj, d = got
-            assert d == det
-            cof = cofactor_matrix(m)
-            assert all(adj[c][j] == cof[j][c] for j in range(n) for c in range(n))
-            # adj(m) . m == det * I
-            assert all(sum(adj[i][k] * m[k][j] for k in range(n)) == det * (i == j)
+            adj, det = ref
+            N, den = got
+            sign = 1 if det > 0 else -1
+            assert den == abs(det) == abs(integer_det(m)) > 0
+            assert N == [[sign * x for x in row] for row in adj]
+            # N . m == den * I
+            assert all(sum(N[i][k] * m[k][j] for k in range(n)) == den * (i == j)
                        for i in range(n) for j in range(n))
         assert singular > 20 and swapped > 20  # both branches are exercised
+
+    def test_adjugate_reference_matches_cofactors(self):
+        rng = random.Random(13)
+        with pytest.raises(NotSquare):
+            integer_adjugate([[1, 2, 3], [4, 5, 6]])
+        for trial in range(200):
+            n = trial % 7
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            ref = integer_adjugate(m)
+            if ref is None:
+                assert integer_det(m) == 0
+                continue
+            adj, det = ref
+            assert det == integer_det(m)
+            cof = cofactor_matrix(m)
+            assert all(adj[c][j] == cof[j][c] for j in range(n) for c in range(n))
+
+
+class TestRref:
+    def test_every_pivot_entry_equal_with_skipped_columns(self):
+        rng = random.Random(17)
+        skipped = deficient = 0
+        for trial in range(300):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+            gens = [[rng.randint(-5, 5) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, nrows))]
+            # combinations of fewer generators than rows: rank-deficient
+            rows = [[sum(rng.randint(-2, 2) * g[c] for g in gens) for c in range(ncols)]
+                    for _ in range(nrows)]
+            for c in rng.sample(range(ncols), rng.randint(0, ncols // 2)):
+                for row in rows:
+                    row[c] = 0
+            red, pivots, d = _rref(rows)
+            m = QMatrix.from_rows(rows, cols=ncols)
+            assert len(pivots) == len(red) == reference_rank(m)
+            skipped += pivots != list(range(len(pivots)))
+            deficient += len(pivots) < nrows
+            assert d > 0
+            for r, (row, p) in enumerate(zip(red, pivots)):
+                assert row[p] == d
+                assert all(other[p] == 0 for s, other in enumerate(red) if s != r)
+            # the rows are the reference RREF times d
+            ref, ref_pivots = _reference_rref(rows)
+            assert pivots == ref_pivots
+            assert all(Q(x, d) == y for row, want in zip(red, ref) for x, y in zip(row, want))
+        assert skipped > 50 and deficient > 50
 
 
 def _det_by_expansion(m):

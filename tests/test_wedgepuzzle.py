@@ -12,6 +12,7 @@ from toricwedge.planefan import (
     hirzebruch_fan,
     is_equivalent,
     normalize_basis,
+    opposite_position,
     validate,
 )
 from toricwedge.wedgepuzzle import (
@@ -490,23 +491,32 @@ class TestCanonicalKey:
                     q = relabel_puzzle(p, pos_map, reflect)
                     assert puzzle_canonical_key(q) == permutation_canonical_key(q) == key
 
-    def test_arbitrary_assignments_with_ties(self):
-        # fans drawn from a pool of two or four: copies tie on their
-        # single-copy fan yet differ at other vertices
+    def test_random_puzzles_with_repeated_offsets(self):
+        # two or more colors each repeat an offset, copy 1's offset 0
+        # included, so their copies tie on the single-copy fan; the key takes
+        # one order of each tied run, the reference every order
         rng = random.Random(11)
-        for _ in range(150):
-            m = rng.choice((3, 4, 5))
-            J = tuple(rng.choice((1, 2, 2, 3)) for _ in range(m))
-            if math.prod(J) > 12:
+        tested = 0
+        while tested < 80:
+            m = rng.choice((4, 5, 6))
+            base = rng.choice(enumerate_fans(m, 2))
+            colors = [i for i in range(m) if opposite_position(base, i) is not None]
+            if len(colors) < 2:
                 continue
-            sig = signature(m, J)
-            fans = enumerate_fans(m, 2)
-            pool = []
-            for fan in rng.sample(fans, min(len(fans), rng.choice((1, 2)))):
-                k = rng.randrange(m)
-                pool += [fan, PlaneFan(fan.rays[k:] + fan.rays[:k])]
-            p = AssignedPuzzle(sig, {a: rng.choice(pool) for a in gj_vertices(sig)})
+            offsets = [()] * m
+            for i in rng.sample(colors, rng.randint(2, min(3, len(colors)))):
+                e, f = rng.randint(-2, 2), rng.randint(-2, 2)
+                offsets[i] = rng.choice(((0,), (e, e), (0, e), (e, f, e)))
+            J = tuple(len(o) + 1 for o in offsets)
+            if math.prod(map(math.factorial, J)) > 72:
+                continue
+            p = Puzzle(signature(m, J), base, tuple(offsets))
+            try:
+                p.assignment
+            except NoOppositeRay:
+                continue
             assert puzzle_canonical_key(p) == permutation_canonical_key(p)
+            tested += 1
 
 
 def assert_edge_checks_agree(signatures, base_depth, e_bound):
