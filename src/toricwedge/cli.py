@@ -42,6 +42,7 @@ EXIT_PROJECTIVE = 0
 EXIT_NOT_POLYTOPAL = 1
 EXIT_INVALID = 2
 EXIT_DISAGREEMENT = 3
+EXIT_INTERNAL = 4
 
 # input errors of check, reduce and shephard: every error the library raises
 # on a bad input, and json's on a malformed file, is a ValueError
@@ -219,15 +220,14 @@ def _certify(puzzle):
 
 def _workers(args) -> int:
     """--workers, or TORICWEDGE_WORKERS when the flag is not given, or 1."""
-    if args.workers is not None:
-        return args.workers
-    text = os.environ.get("TORICWEDGE_WORKERS", "1")
+    source, value = (("--workers", args.workers) if args.workers is not None else
+                     ("TORICWEDGE_WORKERS", os.environ.get("TORICWEDGE_WORKERS", "1")))
     try:
-        workers = int(text)
+        workers = int(value)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(f"TORICWEDGE_WORKERS must be a positive integer, got {text!r}")
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
     return workers
 
 
@@ -321,6 +321,11 @@ def main(argv=None) -> int:
     except CannotWrite as e:
         print(f"cannot write output: {e}", file=sys.stderr)
         return EXIT_INVALID
+    # a broken invariant or an unbounded simplex is a fault of the program,
+    # never a verdict; Pool.imap re-raises a worker's error here too
+    except (InvariantViolation, ArithmeticError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

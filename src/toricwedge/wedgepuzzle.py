@@ -26,16 +26,9 @@ from .planefan import (
     apply_unimodular,
     det2,
     enumerate_fans,
+    normalize_basis,
     opposite_position,
 )
-
-
-class NotWedged(ValueError):
-    pass
-
-
-class InvalidPuzzle(ValueError):
-    pass
 
 
 class LabelMismatch(ValueError):
@@ -118,13 +111,6 @@ class CharMatrix:
         return WedgeSignature(m, tuple(J))
 
 
-def fan_from_matrix(mat: CharMatrix) -> PlaneFan:
-    if mat.n != 2:
-        raise ValueError("matrix does not describe a plane fan")
-    order = sorted(mat.labels)
-    return PlaneFan(tuple((mat.column(l)[0], mat.column(l)[1]) for l in order))
-
-
 @lru_cache(maxsize=8192)
 def shift(fan: PlaneFan, color: int, e: int) -> PlaneFan:
     """Shift along the line through ray `color` and its opposite.
@@ -192,6 +178,22 @@ def assemble_matrix(puzzle: Puzzle) -> CharMatrix:
     The top two rows carry the base fan on the first copies; every extra copy
     (i, k) contributes a row with -1 at (i,1), +1 at (i,k) and the shift
     pattern of its offset on the lower-block columns.
+
+    The matrix realizes the puzzle (its projection to each vertex alpha of
+    G(J) is the fan that shifted_assignment puts there) whenever at most two
+    colors have a nonzero offset and two such colors are opposite in the
+    base, which enumerate_puzzles_keyed checks.  Let v be the base's
+    rays, L_t the base's lower block of color t, and e_t = o_t(alpha_t), with
+    e_t = 0 when alpha_t = 1.  Projecting to alpha takes the quotient of R^n
+    by the columns (i, k) with k != alpha_i, and solving for the kept columns
+    gives w_b = v_b - sum of e_t * det(v_t, v_b) * w_t over the colors t with
+    e_t != 0 and b in L_t.  With one moved color t this is shift(base, t,
+    e_t).  With two, t and t' = opposite(t), L_t and L_t' are the two open
+    half-planes and neither contains t or t', so w_t = v_t, w_t' = -v_t, and
+    w is exactly the composed shift that shifted_assignment builds: the first
+    shift fixes the pair, and it fixes the second color's lower block (as an
+    index range) and its determinants.  Three colors cannot be pairwise
+    opposite.
     """
     sig = puzzle.sig
     m, J = sig.m, sig.J
@@ -221,63 +223,6 @@ def assemble_matrix(puzzle: Puzzle) -> CharMatrix:
                     b = (b + 1) % m
             rows.append(row)
     return CharMatrix(labels, tuple(tuple(r) for r in rows))
-
-
-def projection(mat: CharMatrix, label) -> CharMatrix:
-    """Delete one vertex copy by pivoting, the projection of a wedge matrix.
-
-    Deleting the lowest copy of a color pivots on the wedge row of the
-    retained sibling so that the sibling takes over the base column; deleting
-    any other copy just removes its own row.  Remaining copies renumber down.
-    """
-    i, k = label
-    copies = sorted(c for (a, c) in mat.labels if a == i)
-    if len(copies) < 2:
-        raise NotWedged(f"color {i} has a single copy")
-    if label not in mat.labels:
-        raise LabelMismatch(f"no column labeled {label}")
-    col = {lab: idx for idx, lab in enumerate(mat.labels)}
-    target = col[label]
-    if k == copies[0]:
-        sibling = col[(i, copies[1])]
-        pivot_rows = [r for r in range(mat.n) if mat.rows[r][sibling] != 0]
-    else:
-        pivot_rows = [r for r in range(mat.n) if mat.rows[r][target] != 0]
-    if len(pivot_rows) != 1 or abs(mat.rows[pivot_rows[0]][target]) != 1:
-        raise InvalidPuzzle("matrix is not in projectable standard form")
-    rho = pivot_rows[0]
-    pv = mat.rows[rho][target]
-    rows = [list(r) for r in mat.rows]
-    for r in range(len(rows)):
-        if r != rho and rows[r][target] != 0:
-            if rows[r][target] % pv != 0:
-                raise InvariantViolation("pivot entry does not divide its column")
-            c = rows[r][target] // pv
-            rows[r] = [a - c * b for a, b in zip(rows[r], rows[rho])]
-    del rows[rho]
-    new_labels = []
-    for lab in mat.labels:
-        if lab == label:
-            continue
-        a, c = lab
-        new_labels.append((a, c - 1) if a == i and c > k else lab)
-    kept = [idx for idx, lab in enumerate(mat.labels) if lab != label]
-    new_rows = tuple(tuple(r[idx] for idx in kept) for r in rows)
-    return CharMatrix(tuple(new_labels), new_rows)
-
-
-def project_to_vertex(mat: CharMatrix, alpha) -> PlaneFan:
-    """Project down to a single copy per color, retaining copy alpha_i of i."""
-    sig = mat.signature_of()
-    keep = list(alpha)
-    for i in range(1, sig.m + 1):
-        for k in range(sig.J[i - 1], 0, -1):
-            if k == keep[i - 1]:
-                continue
-            mat = projection(mat, (i, k))
-            if k < keep[i - 1]:
-                keep[i - 1] -= 1
-    return fan_from_matrix(mat)
 
 
 @dataclass(frozen=True)
@@ -327,25 +272,6 @@ def validate_puzzle(p: Puzzle) -> bool:
                 return False
     except NoOppositeRay:
         return False
-    return True
-
-
-def is_realizable(p: Puzzle) -> bool:
-    """Whether the standard-form matrix of an edge-valid puzzle projects onto
-    the assigned fan at every vertex of G(J).
-
-    assemble_matrix takes the row of each base-incident vertex from that
-    vertex's own offset, so the base and its neighbours are reproduced by
-    construction; only vertices that differ from the base in two or more
-    colors are projected.  Realizability is invariant under the
-    relabelings and the basis change of the canonical key, so one
-    representative decides it for its whole class.
-    """
-    mat = p.matrix
-    for alpha in gj_vertices(p.sig):
-        if sum(k > 1 for k in alpha) >= 2 and \
-                project_to_vertex(mat, alpha) != p.assignment[alpha]:
-            return False
     return True
 
 
@@ -401,27 +327,28 @@ def puzzle_canonical_key(p: Puzzle):
         if nj != new_j:
             continue
         moved = {a: _transform_fan(p.assignment[a], pos_map, reflect) for a in verts}
-        for b in verts:
-            (pp, rr), (qq, ss) = moved[b].rays[:2]
-            u = ((ss, -qq), (-rr, pp))
-            bases.append((apply_unimodular(moved[b], u).rays, pos_map, moved, b, u))
+        bases.extend((normalize_basis(moved[b]).rays, pos_map, moved, b) for b in verts)
     least = min(base for base, *_ in bases)
     new_verts = list(itertools.product(*[range(1, j + 1) for j in new_j]))
     keys = []
-    for base, pos_map, moved, b, u in bases:
+    for base, pos_map, moved, b in bases:
         if base != least:
             continue
+        # every fan in the basis of the base, the one normalize_basis takes
+        (pp, rr), (qq, ss) = moved[b].rays[:2]
+        u = ((ss, -qq), (-rr, pp))
+        in_basis = {a: apply_unimodular(moved[a], u).rays for a in verts}
         gs = []
         for o in pos_map:
             rest = [k for k in range(1, J[o] + 1) if k != b[o]]
-            rest.sort(key=lambda k: apply_unimodular(moved[b[:o] + (k,) + b[o + 1:]], u).rays)
+            rest.sort(key=lambda k: in_basis[b[:o] + (k,) + b[o + 1:]])
             gs.append([b[o]] + rest)
         old = [None] * m
         fans = []
         for alpha in new_verts:
             for x, o in enumerate(pos_map):
                 old[o] = gs[x][alpha[x] - 1]
-            fans.append((alpha, apply_unimodular(moved[tuple(old)], u).rays))
+            fans.append((alpha, in_basis[tuple(old)]))
         keys.append((new_j, tuple(fans)))
     return min(keys)
 
@@ -459,10 +386,11 @@ def enumerate_puzzles_keyed(sig: WedgeSignature, base_depth: int, e_bound: int):
     the same puzzle, with the same canonical key and the same validity.  For
     a given base the lexicographically first offset tuple of a class is
     sorted within each color, and the multisets come in lexicographic order,
-    so the representative kept for each key is the one the ordered tuples
-    would give first.  Every candidate gets the edge check; realizability,
-    a property of the whole class, is tested only on the candidate that
-    would become a new key's representative.
+    so the first edge-valid candidate of each key, the one stored, is the
+    representative the ordered tuples would give first.  An edge-valid
+    candidate with nonzero offsets on colors other than one opposite ray
+    pair raises InvariantViolation, since assemble_matrix would not realize
+    it.
     """
     m, J = sig.m, sig.J
     out = {}
@@ -482,9 +410,13 @@ def enumerate_puzzles_keyed(sig: WedgeSignature, base_depth: int, e_bound: int):
             puzzle = Puzzle(sig, base, combo)
             if not validate_puzzle(puzzle):
                 continue
-            key = puzzle_canonical_key(puzzle)
-            if key not in out and is_realizable(puzzle):
-                out[key] = puzzle
+            moved = [i for i in range(m) if any(combo[i])]
+            if len(moved) > 2 or len(moved) == 2 and \
+                    opposite_position(base, moved[0]) != moved[1]:
+                raise InvariantViolation(
+                    f"edge-valid puzzle over {sig} moves colors that are not one "
+                    f"opposite pair: base {base.rays}, offsets {combo}")
+            out.setdefault(puzzle_canonical_key(puzzle), puzzle)
     return [(k, out[k]) for k in sorted(out)]
 
 

@@ -25,7 +25,7 @@ s_sigma took through relint_intersection before.  The
 puzzle classes are checked against a canonical key that tries every
 copy permutation, an enumeration over every ordered offset tuple, and the
 offset-multiset enumeration that checked every square of G(J) of every
-candidate for realizability, where the library checks each class once.
+candidate for realizability, where the library checks no square.
 Edges are checked by is_edge, which solves for the shift between two fans
 where the library shifts by the known difference of two offsets, and
 AssignedPuzzle holds a fan at every vertex of G(J), so that tests can give
@@ -38,7 +38,11 @@ relint_intersection sends full simplices to the library's row generation
 and any other family to an encoding with explicit barycentric variables,
 the one the library used for them, the library inverts only square
 matrices, through integer_inverse, and its kernels take and return integer
-lists rather than a QMatrix.
+lists rather than a QMatrix.  projection, project_to_vertex and
+fan_from_matrix, with their NotWedged and InvalidPuzzle, and is_realizable,
+the projection round trip that enumeration once ran on every class, live
+here because the docstring of assemble_matrix proves realizability and
+enumerate_puzzles_keyed checks its one precondition instead.
 """
 
 from dataclasses import dataclass
@@ -82,7 +86,6 @@ from toricwedge.wedgepuzzle import (
     facet_table,
     gj_edges,
     gj_vertices,
-    project_to_vertex,
     puzzle_canonical_key,
     shift,
 )
@@ -955,6 +958,95 @@ def _in_relint_2d(point, fam):
     raise ValueError("grid oracle handles at most 3 points per family")
 
 
+class NotWedged(ValueError):
+    pass
+
+
+class InvalidPuzzle(ValueError):
+    pass
+
+
+def fan_from_matrix(mat: CharMatrix) -> PlaneFan:
+    if mat.n != 2:
+        raise ValueError("matrix does not describe a plane fan")
+    order = sorted(mat.labels)
+    return PlaneFan(tuple((mat.column(l)[0], mat.column(l)[1]) for l in order))
+
+
+def projection(mat: CharMatrix, label) -> CharMatrix:
+    """Delete one vertex copy by pivoting, the projection of a wedge matrix.
+
+    Deleting the lowest copy of a color pivots on the wedge row of the
+    retained sibling so that the sibling takes over the base column; deleting
+    any other copy just removes its own row.  Remaining copies renumber down.
+    """
+    i, k = label
+    copies = sorted(c for (a, c) in mat.labels if a == i)
+    if len(copies) < 2:
+        raise NotWedged(f"color {i} has a single copy")
+    if label not in mat.labels:
+        raise LabelMismatch(f"no column labeled {label}")
+    col = {lab: idx for idx, lab in enumerate(mat.labels)}
+    target = col[label]
+    if k == copies[0]:
+        sibling = col[(i, copies[1])]
+        pivot_rows = [r for r in range(mat.n) if mat.rows[r][sibling] != 0]
+    else:
+        pivot_rows = [r for r in range(mat.n) if mat.rows[r][target] != 0]
+    if len(pivot_rows) != 1 or abs(mat.rows[pivot_rows[0]][target]) != 1:
+        raise InvalidPuzzle("matrix is not in projectable standard form")
+    rho = pivot_rows[0]
+    pv = mat.rows[rho][target]
+    rows = [list(r) for r in mat.rows]
+    for r in range(len(rows)):
+        if r != rho and rows[r][target] != 0:
+            if rows[r][target] % pv != 0:
+                raise InvariantViolation("pivot entry does not divide its column")
+            c = rows[r][target] // pv
+            rows[r] = [a - c * b for a, b in zip(rows[r], rows[rho])]
+    del rows[rho]
+    new_labels = []
+    for lab in mat.labels:
+        if lab == label:
+            continue
+        a, c = lab
+        new_labels.append((a, c - 1) if a == i and c > k else lab)
+    kept = [idx for idx, lab in enumerate(mat.labels) if lab != label]
+    new_rows = tuple(tuple(r[idx] for idx in kept) for r in rows)
+    return CharMatrix(tuple(new_labels), new_rows)
+
+
+def project_to_vertex(mat: CharMatrix, alpha) -> PlaneFan:
+    """Project down to a single copy per color, retaining copy alpha_i of i."""
+    sig = mat.signature_of()
+    keep = list(alpha)
+    for i in range(1, sig.m + 1):
+        for k in range(sig.J[i - 1], 0, -1):
+            if k == keep[i - 1]:
+                continue
+            mat = projection(mat, (i, k))
+            if k < keep[i - 1]:
+                keep[i - 1] -= 1
+    return fan_from_matrix(mat)
+
+
+def is_realizable(p) -> bool:
+    """Whether the standard-form matrix of a puzzle projects onto the
+    assigned fan at every vertex of G(J).
+
+    assemble_matrix takes the row of each base-incident vertex from that
+    vertex's own offset, so the base and its neighbours are reproduced by
+    construction; only vertices that differ from the base in two or more
+    colors are projected.
+    """
+    mat = p.matrix
+    for alpha in gj_vertices(p.sig):
+        if sum(k > 1 for k in alpha) >= 2 and \
+                project_to_vertex(mat, alpha) != p.assignment[alpha]:
+            return False
+    return True
+
+
 def permutation_canonical_key(p):
     """Canonical key of a puzzle by brute force over every copy permutation.
 
@@ -1108,7 +1200,7 @@ def ordered_enumerate_puzzles_keyed(sig, base_depth, e_bound):
 def multiset_enumerate_puzzles_keyed(sig, base_depth, e_bound):
     """Classes of valid puzzles from every multiset of offsets per color,
     each candidate validated square by square before it is keyed: the
-    library's loop before realizability moved to one test per class."""
+    library's loop before it checked only edges."""
     return _reference_classes(sig, base_depth, e_bound,
                               combinations_with_replacement, puzzle_canonical_key)
 

@@ -21,8 +21,8 @@ from toricwedge.exactmath import (
 )
 from toricwedge.planefan import NoOppositeRay
 from toricwedge.shephard import ShephardDiagram, prepare, s_sigma, shephard_diagram
-from toricwedge.wedgepuzzle import CharMatrix, NotWedged, WedgeSignature, build_complex
-from oracles import _qvec, relint_intersection
+from toricwedge.wedgepuzzle import CharMatrix, WedgeSignature, build_complex
+from oracles import NotWedged, _qvec, relint_intersection
 
 Q = Fraction
 

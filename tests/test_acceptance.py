@@ -52,7 +52,6 @@ from toricwedge.wedgepuzzle import (
     enumerate_puzzles_keyed,
     facet_table,
     gj_vertices,
-    project_to_vertex,
     puzzle_to_dict,
     signature,
 )
@@ -67,6 +66,7 @@ from oracles import (
     is_zero,
     matmul,
     multiset_enumerate_puzzles_keyed,
+    project_to_vertex,
     rank,
     relint_intersection,
     verify_result,
@@ -404,8 +404,8 @@ WIDE_BOUND_SIGNATURES = [(4, (2, 2, 2, 2)), (5, (2, 1, 2, 1, 1)), (5, (2, 2, 1, 
 
 @pytest.mark.slow
 def test_sweep_classes_match_square_reference(sweep):
-    """Checking realizability once per class keeps every class, representative
-    and order that checking every square of every candidate gave."""
+    """Checking only edges keeps every class, representative and order that
+    checking every square of every candidate gave."""
     per_sig, _ = sweep
     cases = [(sig, 3, [(r["key"], r["puzzle"]) for r in records])
              for sig, records in per_sig.items()]

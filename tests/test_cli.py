@@ -13,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricwedge
+from toricwedge import shephard, wedgepuzzle
 from toricwedge.cli import main
+from toricwedge.exactmath import InvariantViolation
 from toricwedge.planefan import enumerate_fans
 from toricwedge.wedgepuzzle import assemble_matrix, enumerate_puzzles, matrix_to_dict, signature
 
@@ -134,6 +136,18 @@ class TestClassify:
         assert run_cli(classify + ["--workers", "1"]) == 0
         assert run_cli(["check", "--in", write_fan(tmp_path, "pent.json", PENTAGON)]) == 0
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_workers_flag(self, value, capsys, monkeypatch):
+        # the flag takes the variable's check, and a good variable does not
+        # excuse a bad flag
+        monkeypatch.setenv("TORICWEDGE_WORKERS", "1")
+        assert run_cli(["classify", "--m", "3", "--j", "2,1,1", "--base-depth", "1",
+                        "--e-bound", "1", "--workers", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invalid config: --workers must be a positive integer, "
+                                f"got {value}\n")
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["classify", "--m", "4", "--j", "2,1,1,1", "--base-depth", "2",
@@ -164,6 +178,42 @@ class TestClassify:
         alone = [run_python("-m", "toricwedge", *argv) for argv in calls]
         assert [code for code, _, _ in together] == [0, 0, 2, 0]
         assert together == [(p.returncode, p.stdout, p.stderr) for p in alone]
+
+
+class TestInternalError:
+    """A fault of the program exits 4 with one stderr line, and never with
+    the code of a verdict."""
+
+    @pytest.mark.parametrize("error", [InvariantViolation("broken coface functional"),
+                                       ArithmeticError("unbounded objective in simplex phase")])
+    @pytest.mark.parametrize("command", ["check", "shephard", "classify"])
+    def test_oracle_failure_exits_4(self, command, error, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise error
+
+        # the Shephard oracle of every subcommand reaches this function;
+        # classify runs it in two worker processes, which inherit the patch
+        monkeypatch.setattr(shephard, "_coface_functionals", broken)
+        if command == "classify":
+            argv = ["classify", "--m", "4", "--j", "2,1,1,1", "--base-depth", "2",
+                    "--e-bound", "2", "--workers", "2"]
+        else:
+            argv = [command, "--in", write_fan(tmp_path, "pent.json", PENTAGON)]
+        assert run_cli(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {error}\n"
+
+    def test_enumeration_invariant_exits_4(self, capsys, monkeypatch):
+        # with the edge check switched off, enumeration meets a puzzle that
+        # moves two colors which are not opposite
+        monkeypatch.setattr(wedgepuzzle, "validate_puzzle", lambda p: True)
+        assert run_cli(["classify", "--m", "4", "--j", "2,2,1,1", "--base-depth", "0",
+                        "--e-bound", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: edge-valid puzzle over ")
+        assert captured.err.count("\n") == 1
 
 
 class TestReduce:

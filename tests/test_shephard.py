@@ -463,7 +463,7 @@ class TestWedgeShephard:
         assert verify_wedge_shephard(mat, 4)
 
     def test_not_wedged_color(self):
-        from toricwedge.wedgepuzzle import NotWedged
+        from oracles import NotWedged
         mat = assemble_matrix(single_wedge_puzzle(pentagon(2), 1, 1))
         with pytest.raises(NotWedged):
             verify_wedge_shephard(mat, 2)

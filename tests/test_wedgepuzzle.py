@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from toricwedge import wedgepuzzle
+from toricwedge.exactmath import InvariantViolation
 from toricwedge.planefan import (
     NoOppositeRay,
     PlaneFan,
@@ -17,20 +19,15 @@ from toricwedge.planefan import (
 )
 from toricwedge.wedgepuzzle import (
     CharMatrix,
-    NotWedged,
     Puzzle,
     WedgeSignature,
     assemble_matrix,
     build_complex,
     enumerate_puzzles,
     enumerate_puzzles_keyed,
-    fan_from_matrix,
     gj_vertices,
-    is_realizable,
     matrix_from_dict,
     matrix_to_dict,
-    project_to_vertex,
-    projection,
     puzzle_canonical_key,
     puzzle_to_dict,
     shift,
@@ -39,14 +36,19 @@ from toricwedge.wedgepuzzle import (
 )
 from oracles import (
     AssignedPuzzle,
+    NotWedged,
     check_nonsingular,
+    fan_from_matrix,
     gj_cubes,
     is_edge,
     is_irreducible,
+    is_realizable,
     matrix_from_fan,
     offset_candidates,
     ordered_enumerate_puzzles_keyed,
     permutation_canonical_key,
+    project_to_vertex,
+    projection,
     realizable_square,
     reference_edges_valid,
     reference_validate_puzzle,
@@ -368,6 +370,47 @@ class TestPuzzles:
         assert validate(q.assignment[far].rays) == q.assignment[far]
         assert assemble_matrix(q) == assemble_matrix(p)
         assert not is_realizable(q)
+
+    def test_edge_valid_puzzles_meet_the_realizability_lemma(self):
+        # every edge-valid puzzle drawn here moves at most two colors, two of
+        # them opposite in the base: the precondition of the lemma in
+        # assemble_matrix, which enumeration enforces; and the projection
+        # round trip reproduces its fan at every vertex, as the lemma says
+        rng = random.Random(1717)
+        bases = {m: enumerate_fans(m, 2) + enumerate_fans(m, 3) for m in range(4, 8)}
+        valid = two_moved = 0
+        for _ in range(1500):
+            m = rng.randint(4, 7)
+            base = rng.choice(bases[m])
+            wedged = set(rng.sample(range(m), rng.randint(1, 3)))
+            pairs = [(i, opposite_position(base, i)) for i in range(m)
+                     if opposite_position(base, i) is not None]
+            if pairs and rng.random() < 0.5:
+                wedged |= set(rng.choice(pairs))
+            J = tuple(rng.randint(2, 3) if i in wedged else 1 for i in range(m))
+            offsets = tuple(tuple(rng.randint(-3, 3) if rng.random() < 0.7 else 0
+                                  for _ in range(j - 1)) for j in J)
+            p = Puzzle(signature(m, J), base, offsets)
+            if not validate_puzzle(p):
+                continue
+            moved = [i for i in range(m) if any(offsets[i])]
+            assert len(moved) <= 2, p
+            if len(moved) == 2:
+                assert opposite_position(base, moved[0]) == moved[1], p
+                two_moved += 1
+            assert is_realizable(p), p
+            valid += 1
+        assert valid >= 400 and two_moved >= 100
+
+    def test_enumeration_raises_where_the_lemma_does_not_apply(self, monkeypatch):
+        # with the edge check switched off, the first candidate over F0, the
+        # one base at depth 0, moves colors 1 and 2, which are not opposite:
+        # enumeration raises instead of keeping or skipping it
+        monkeypatch.setattr(wedgepuzzle, "validate_puzzle", lambda p: True)
+        with pytest.raises(InvariantViolation,
+                           match=r"base \(\(1, 0\), \(0, 1\), \(-1, 0\), \(0, -1\)\), "
+                                 r"offsets \(\(-1,\), \(-1,\), \(\), \(\)\)"):
+            enumerate_puzzles_keyed(signature(4, (2, 2, 1, 1)), 0, 1)
 
 
 class TestEnumerate:
