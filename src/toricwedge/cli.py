@@ -93,7 +93,11 @@ def _is_int_list(v, length=None) -> bool:
 def load_input(path: str):
     """A fan {"rays": ...} or a labeled matrix {"n": ..., "cols": ...}."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # json's decoder recurses once per nested array or object
+            raise InvalidInput("input JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise InvalidInput("input must be a JSON object with 'rays' or 'cols'")
     if "rays" in data:
@@ -131,7 +135,8 @@ def _open_out(path):
 
 def _dump(data: dict, fh) -> None:
     try:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(data, indent=2, sort_keys=True))
+        fh.write("\n")
     except OSError as e:
         raise CannotWrite(e) from e
 
@@ -208,14 +213,47 @@ def cmd_shephard(args) -> int:
 
 
 def _certify(puzzle):
+    """The verdict of one class and its record as text, encoded once and
+    indented to its depth in the classify document, so that the record's
+    dicts die here and a worker sends back one str."""
     mat = puzzle.matrix
     verdict, cert1, cert2 = certify(mat)
-    return {
+    record = {
         "puzzle": puzzle_to_dict(puzzle),
         "matrix": matrix_to_dict(mat),
         "verdict": verdict,
         "certificate": certificate_to_dict(verdict, cert1, cert2),
     }
+    # json escapes newlines inside strings, so each one here starts a line
+    return verdict, json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+def _certify_in_worker(puzzle):
+    """_certify, with an error returned instead of raised, so that the pool
+    is left only once every worker has sent all its results: terminating a
+    worker while it sends one can leave the result queue locked, and the
+    pool's shutdown then waits forever."""
+    try:
+        return _certify(puzzle)
+    except Exception as e:  # noqa: BLE001 - raised again by cmd_classify
+        return e
+
+
+def _dump_classify(header: dict, certified: list, fh) -> None:
+    """The bytes _dump would give for header plus the "records" of the
+    (verdict, text) pairs, written piece by piece, never as one string.
+    Every header key sorts before "records"."""
+    try:
+        fh.write(json.dumps(header, indent=2, sort_keys=True)[:-2])  # drop "\n}"
+        fh.write(',\n  "records": [')
+        sep = "\n    "
+        for _, text in certified:
+            fh.write(sep)
+            fh.write(text)
+            sep = ",\n    "
+        fh.write("\n  ]\n}\n" if certified else "]\n}\n")
+    except OSError as e:
+        raise CannotWrite(e) from e
 
 
 def _workers(args) -> int:
@@ -255,20 +293,24 @@ def cmd_classify(args) -> int:
             with multiprocessing.Pool(workers) as pool:
                 # the chunk size pool.map would choose
                 chunks = -(-n // (4 * workers))
-                records = list(pool.imap(_certify, handed, chunks))
+                certified = list(pool.imap(_certify_in_worker, handed, chunks))
+            for result in certified:
+                if isinstance(result, Exception):
+                    raise result
         else:
-            records = [_certify(p) for p in handed]
-        n_proj = sum(1 for r in records if r["verdict"] == "projective")
-        n_disagree = sum(1 for r in records if r["verdict"] == "oracle-disagreement")
-        _dump({
+            certified = [_certify(p) for p in handed]
+        n_proj = sum(verdict == "projective" for verdict, _ in certified)
+        n_disagree = sum(verdict == "oracle-disagreement" for verdict, _ in certified)
+        # nothing is written before every class is certified, so a run that
+        # fails leaves --out empty
+        _dump_classify({
             "m": sig.m,
             "J": list(sig.J),
             "classes": n,
             "projective": n_proj,
             "oracle_disagreements": n_disagree,
             "fraction_projective": frac_str(Fraction(n_proj, n)) if n else "0",
-            "records": records,
-        }, fh)
+        }, certified, fh)
     if n_disagree:
         return EXIT_DISAGREEMENT
     return 0
@@ -322,7 +364,7 @@ def main(argv=None) -> int:
         print(f"cannot write output: {e}", file=sys.stderr)
         return EXIT_INVALID
     # a broken invariant or an unbounded simplex is a fault of the program,
-    # never a verdict; Pool.imap re-raises a worker's error here too
+    # never a verdict; cmd_classify raises a worker's error here too
     except (InvariantViolation, ArithmeticError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -21,6 +21,7 @@ from operator import mul as _mul
 from typing import Optional
 
 from .exactmath import (
+    DimensionMismatch,
     InvariantViolation,
     StrictLinearSystem,
     _relint_of_simplices,
@@ -76,9 +77,10 @@ class Prepared:
 
 def prepare(obj) -> Prepared:
     """Validate a PlaneFan, or a CharMatrix over the complex of its
-    signature, once.  Raises FanError, LabelMismatch, SingularInput (a facet
-    minor other than +-1) or NotComplete (no positive relation: minors alone
-    do not rule out a non-complete fan)."""
+    signature, once.  Raises FanError, LabelMismatch, DimensionMismatch (a
+    row count other than the facet size), SingularInput (a facet minor other
+    than +-1) or NotComplete (no positive relation: minors alone do not rule
+    out a non-complete fan)."""
     if isinstance(obj, PlaneFan):
         validate(obj.rays)
         m = obj.m
@@ -86,9 +88,14 @@ def prepare(obj) -> Prepared:
         gens = dict(zip(labels, obj.rays))
         facets = [(i, i % m + 1) for i in labels]
     elif isinstance(obj, CharMatrix):
-        cx = build_complex(obj.signature_of())
+        sig = obj.signature_of()
+        cx = build_complex(sig)
         if set(obj.labels) != set(cx.labels):
             raise LabelMismatch("matrix labels do not match the complex")
+        if obj.n != sig.n:
+            raise DimensionMismatch(
+                f"matrix has {obj.n} rows where P_{sig.m}({','.join(map(str, sig.J))}) "
+                f"needs {sig.n}")
         labels = tuple(sorted(obj.labels))
         gens = {lab: obj.column(lab) for lab in labels}
         facets = cx.facets

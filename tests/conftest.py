@@ -2,10 +2,10 @@
 instead of hanging it.
 
 The limit is an alarm signal (POSIX only; elsewhere tests run unlimited).
-It covers the test's own fixtures and body; session and module fixtures,
-such as the acceptance sweep, are built before it is armed.  The limits sit
-at least ten times above the slowest test of each group as `pytest
---durations=0` reports it.
+It is armed around each phase of a test, set-up, call and teardown, so it
+also covers the session and module fixtures that a set-up builds, such as
+the acceptance sweep.  The limits sit at least ten times above the slowest
+phase of each group as `pytest --durations=0` reports it.
 """
 
 import signal
@@ -21,15 +21,14 @@ class TimeLimitExceeded(BaseException):
     catches it as an ordinary failure and runs on."""
 
 
-@pytest.fixture(autouse=True)
-def time_limit(request):
+def _time_limit(item, when):
     if not hasattr(signal, "SIGALRM"):
         yield
         return
-    limit = SLOW_LIMIT_S if request.node.get_closest_marker("slow") else QUICK_LIMIT_S
+    limit = SLOW_LIMIT_S if item.get_closest_marker("slow") else QUICK_LIMIT_S
 
     def expire(signum, frame):
-        raise TimeLimitExceeded(f"{request.node.nodeid} ran past its {limit} s limit")
+        raise TimeLimitExceeded(f"{item.nodeid} {when} ran past its {limit} s limit")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(limit)
@@ -38,3 +37,18 @@ def time_limit(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    yield from _time_limit(item, "setup")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    yield from _time_limit(item, "call")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    yield from _time_limit(item, "teardown")

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,30 @@ class TestClassify:
         assert run_cli(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_no_classes_prints_the_whole_document(self, capsys):
+        # the records are written piece by piece after the header, and an
+        # empty list must still read as json.dumps gives it
+        assert run_cli(["classify", "--m", "6", "--j", "1,1,1,1,1,1",
+                        "--base-depth", "0"]) == 0
+        expected = {"m": 6, "J": [1, 1, 1, 1, 1, 1], "classes": 0, "projective": 0,
+                    "oracle_disagreements": 0, "fraction_projective": "0", "records": []}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_memory_follows_output_bytes(self, tmp_path):
+        # each record is held as its final text, never as dicts or as one
+        # document string: the traced peak stays within a few times the file
+        run_cli(["classify", "--m", "3", "--j", "2,1,1", "--out", str(tmp_path / "warm.json")])
+        out = tmp_path / "res.json"
+        tracemalloc.start()
+        try:
+            code = run_cli(["classify", "--m", "5", "--j", "2,1,2,1,1", "--base-depth", "2",
+                            "--e-bound", "2", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5 * out.stat().st_size
+
     def test_parser_reused_across_calls(self, tmp_path, capsys):
         # main builds its parser once per process: a run of check, classify,
         # a bad flag and check again gives what each call gives alone
@@ -203,6 +228,20 @@ class TestInternalError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"internal error: {error}\n"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_oracle_failure_leaves_out_empty(self, workers, tmp_path, capsys, monkeypatch):
+        # classify writes nothing until every class is certified
+        def broken(*args):
+            raise InvariantViolation("broken coface functional")
+
+        monkeypatch.setattr(shephard, "_coface_functionals", broken)
+        out = tmp_path / "res.json"
+        out.write_text("stale\n")
+        assert run_cli(["classify", "--m", "4", "--j", "2,1,1,1", "--base-depth", "2",
+                        "--e-bound", "2", "--workers", workers, "--out", str(out)]) == 4
+        assert out.read_text() == ""
+        assert capsys.readouterr().err == "internal error: broken coface functional\n"
 
     def test_enumeration_invariant_exits_4(self, capsys, monkeypatch):
         # with the edge check switched off, enumeration meets a puzzle that
@@ -411,7 +450,12 @@ MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "c
                     '{"n": 2, "cols": [{"label": "100000000000_1", "v": [-1, -1]},'
                     ' {"label": "1_1", "v": [1, 0]}, {"label": "2_1", "v": [0, 1]}]}',
                     '{"n": 2, "cols": [{"label": "1_4", "v": [-1, -1]},'
-                    ' {"label": "1_1", "v": [1, 0]}, {"label": "2_1", "v": [0, 1]}]}']
+                    ' {"label": "1_1", "v": [1, 0]}, {"label": "2_1", "v": [0, 1]}]}',
+                    # deeper than json's decoder can recurse; named, since a
+                    # test id this long does not fit in the environment
+                    pytest.param('[' * 100000 + ']' * 100000, id="deep-nesting"),
+                    pytest.param('{"rays": ' + '[' * 100000 + ']' * 100000 + '}',
+                                 id="deep-nesting-under-rays")]
 
 
 @pytest.mark.parametrize("command", ["check", "reduce", "shephard"])
@@ -450,7 +494,8 @@ def columns(n, labelled):
     return {"n": n, "cols": [{"label": lab, "v": v} for lab, v in labelled]}
 
 
-# inputs the facet table rejects, with the one stderr line each gives
+# inputs that prepare rejects at or before its facet table, with the one
+# stderr line each gives
 FACET_TABLE_FAILURES = {
     "singular": (columns(2, [("1_1", [1, 0]), ("2_1", [0, 1]), ("3_1", [-1, 0])]),
                  "some facet minor is not +-1"),
@@ -460,10 +505,11 @@ FACET_TABLE_FAILURES = {
     "label gap": (columns(3, [("1_1", [1, 0, -1]), ("1_3", [0, 0, 1]), ("2_1", [0, 1, 0]),
                               ("3_1", [-1, -1, 0])]),
                   "matrix labels do not match the complex"),
-    # three rows over a triangle, whose facets have two columns
+    # three rows over a triangle, whose facets have two columns: prepare
+    # names the row count before any facet matrix is built
     "wrong facet size": (columns(3, [("1_1", [1, 0, 0]), ("2_1", [0, 1, 0]),
                                      ("3_1", [-1, -1, 1])]),
-                         "some facet minor is not +-1"),
+                         "matrix has 3 rows where P_3(1,1,1) needs 2"),
 }
 
 
