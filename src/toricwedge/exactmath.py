@@ -16,15 +16,15 @@ tuples of a result.
 
 One elimination serves kernels and inverses: _rref, Bareiss's fraction-free
 Gauss-Jordan elimination.  kernel_basis reads primitive integer kernel
-columns from it, and integer_inverse reads the inverse of a facet or coface
-matrix as an integer matrix over |det|.  The relative interiors of full
-simplices are intersected by row generation (_relint_of_simplices): a few
-barycentric functionals per simplex, the violated ones added until the
-witness satisfies all of them.  Only the first round is a two-phase solve;
-each later round appends its rows to the optimal tableau and restores it by
-dual simplex pivots, with Bland's rule in both directions.  It takes the
-functionals of _simplex_functionals or those the Shephard oracle derives by
-Gale duality from the facet inverses.
+columns from it, and integer_inverse an integer inverse over |det|: of the
+facet where a facet table's wall walk starts, or of the reference coface.
+The relative interiors of full simplices are intersected by row generation
+(_relint_of_simplices): a few barycentric functionals per simplex, the
+violated ones added until the witness satisfies all of them.  Only the first
+round is a two-phase solve; each later round appends its rows to the optimal
+tableau and restores it by dual simplex pivots, with Bland's rule in both
+directions.  It takes the functionals of _simplex_functionals or those the
+Shephard oracle derives by Gale duality from the facet tableaux.
 """
 
 from __future__ import annotations

@@ -167,17 +167,17 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     reference coface (the first facet's), mu extended by zero, by a vector
     c_j u_j . z, and vanishing on sigma fixes z:
         lambda_j = mu_j - c_j sum_{s in sigma} (A_sigma^-1 u_j)_s mu_s / c_s,
-    with A_sigma^-1 = N / den from the table.  It applies when every facet
-    matrix is nonsingular, every coface has ambient_dim + 1 points, the
-    weights are nonzero integers and A diag(c) [p_j | 1] = 0, which is how
-    shephard_diagram builds a diagram from a prepared input; any other
-    diagram raises InvariantViolation.
+    with (A_sigma^-1 u_j)_s = W[s][j] / den from sigma's tableau.  It applies
+    when every facet matrix is nonsingular, every coface has ambient_dim + 1
+    points, the weights are nonzero integers and A diag(c) [p_j | 1] = 0,
+    which is how shephard_diagram builds a diagram from a prepared input;
+    any other diagram raises InvariantViolation.
     """
     labels = diagram.labels
     dim = diagram.ambient_dim
     gens = diagram.generators
     weights = diagram.weights
-    if not table.facets or None in table.inverses or any(
+    if not table.facets or None in table.tableaux or any(
             len(labels) - len(f) != dim + 1 for f in table.facets) or any(
             type(weights[lab]) is not int or weights[lab] == 0 for lab in labels):
         raise InvariantViolation("facets, cofaces or weights unfit for Gale duality")
@@ -199,23 +199,24 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     scale = lcm(*(weights[lab] for lab in ref))
     # mu_s / c_s over the common denominator scale
     nu = {s: [scale // weights[s] * v for v in mu[s]] for s in ref}
+    factors = {den: factor0 / (den * scale) for den in {den for _, den in table.tableaux}}
     out = []
-    for facet, (inv, den) in zip(table.facets, table.inverses):
+    for facet, (tab, den) in zip(table.facets, table.tableaux):
         d = den * scale
-        in_ref = [(inv[k], nu[s]) for k, s in enumerate(facet) if s in nu]
+        in_ref = [(tab[k], nu[s]) for k, s in enumerate(facet) if s in nu]
         members = set(facet)
         rows = []
         for j in labels:
             if j in members:
                 continue
             row = [d * v for v in mu[j]] if j in mu else [0] * (dim + 1)
-            u = gens[j]
-            for inv_s, nu_s in in_ref:
-                w = weights[j] * sum(map(_mul, inv_s, u))
+            c, cj = table.columns[j], weights[j]
+            for tab_s, nu_s in in_ref:
+                w = cj * tab_s[c]
                 if w:
                     row = [a - w * b for a, b in zip(row, nu_s)]
             rows.append(row)
-        out.append((rows, factor0 / d))
+        out.append((rows, factors[den]))
     return out
 
 
@@ -245,39 +246,27 @@ def support_function_polytopal(prep: Prepared) -> tuple[bool, PolytopalityCertif
 
     For every wall between adjacent maximal cones, the linear function that
     agrees with the heights on one cone must sit strictly below the height of
-    the ray on the other side.  Heights are gauge-fixed to zero on the first
-    facet.
+    the ray on the other side: one condition per wall of the facet table,
+    the reverse one being the same inequality through the other cone.  The
+    weights of that ray r in the generators of the facet fi, unimodular,
+    are column r of fi's tableau.  Heights are gauge-fixed to zero on the
+    first facet.
     """
     table = prep.table
-    labels, gens = prep.labels, prep.generators
     facets = table.facets
-    facet_sets = [frozenset(f) for f in facets]
-    n = len(gens[labels[0]])
-    free = [lab for lab in labels if lab not in facet_sets[0]]
+    free = [lab for lab in prep.labels if lab not in facets[0]]
     pos = {lab: i for i, lab in enumerate(free)}
-    strict = []
-    seen = set()
-    for fi in range(len(facets)):
-        inv = table.inverses[fi][0]
-        for fj in range(fi + 1, len(facets)):
-            if len(facet_sets[fi] & facet_sets[fj]) != n - 1:
-                continue
-            # one strict bend condition per wall; the reverse direction is
-            # the same inequality expressed through the other cone.  The
-            # facet matrix U is unimodular, so its inverse is N / 1 and the
-            # weights of u_r in its columns, N . u_r, are integers.
-            r_out = next(iter(facet_sets[fj] - facet_sets[fi]))
-            ur = gens[r_out]
-            row = [0] * len(free)
-            for k, lab in enumerate(facets[fi]):
-                if lab in pos:
-                    row[pos[lab]] += sum(a * x for a, x in zip(inv[k], ur))
-            if r_out in pos:
-                row[pos[r_out]] -= 1
-            key = tuple(row)
-            if key not in seen:
-                seen.add(key)
-                strict.append((row, 0))
+    bends = {}
+    for fi, r_out in table.walls:
+        tab, c = table.tableaux[fi][0], table.columns[r_out]
+        row = [0] * len(free)
+        for k, lab in enumerate(facets[fi]):
+            if lab in pos:
+                row[pos[lab]] += tab[k][c]
+        if r_out in pos:
+            row[pos[r_out]] -= 1
+        bends.setdefault(tuple(row))
+    strict = [(list(row), 0) for row in bends]
     res = strict_feasible(StrictLinearSystem.build(len(free), (), (), strict))
     if not res.feasible:
         return False, PolytopalityCertificate(kind="empty-witness")

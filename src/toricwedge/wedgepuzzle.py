@@ -227,13 +227,15 @@ def assemble_matrix(puzzle: Puzzle) -> CharMatrix:
 
 @dataclass(frozen=True)
 class FacetTable:
-    """Each facet's labels, sorted, with the integer_inverse (N, den) of its
-    generator matrix, the matrix whose columns are the facet's generators in
-    label order: its inverse is N / den with den > 0.  None when the matrix
-    is singular or not square.  Iterating over a table gives its facets."""
+    """Each facet's sorted labels and integer tableau (W, den) with
+    A_sigma^-1 A = W / den and den = |det A_sigma| > 0 (columns maps labels
+    to columns of A), or None when A_sigma is singular or not square; walls
+    holds (fi, r) for each pair fi < fj of facets with fj = fi - s + r."""
 
     facets: tuple[tuple, ...]
-    inverses: tuple[Optional[tuple[list[list[int]], int]], ...]
+    columns: dict
+    tableaux: tuple[Optional[tuple[list[list[int]], int]], ...]
+    walls: tuple[tuple[int, object], ...]
 
     def __iter__(self):
         return iter(self.facets)
@@ -241,22 +243,70 @@ class FacetTable:
     @property
     def unimodular(self) -> bool:
         """Whether every facet minor is +-1."""
-        return all(inv is not None and inv[1] == 1 for inv in self.inverses)
+        return all(tab is not None and tab[1] == 1 for tab in self.tableaux)
+
+
+@lru_cache(maxsize=256)
+def _wall_graph(facets: tuple[tuple, ...]):
+    """FacetTable's walls and each sorted facet's neighbours (tau, k, r,
+    order): tau trades the facet's k-th label for r, and takes its row i
+    from the facet's row order[i].  One ridge lookup per label."""
+    ridges = {}
+    for fi, facet in enumerate(facets):
+        for k in range(len(facet)):
+            ridges.setdefault(facet[:k] + facet[k + 1:], []).append((fi, k))
+    adjacent = [[] for _ in facets]
+    for sharing in ridges.values():
+        for (fi, k), (tau, kt) in itertools.permutations(sharing, 2):
+            r = facets[tau][kt]
+            if r not in facets[fi]:
+                adjacent[fi].append((tau, k, r, tuple(
+                    k if lab == r else facets[fi].index(lab) for lab in facets[tau])))
+    adjacent = [sorted(nbrs) for nbrs in adjacent]
+    return adjacent, tuple((fi, r) for fi, nbrs in enumerate(adjacent)
+                           for tau, _, r, _ in nbrs if tau > fi)
+
+
+def _pivot(tableau, k, c, order):
+    """The neighbour's tableau by one pivot on entry w = (k, c), or None
+    when w = 0 and the neighbour is singular: den becomes |w|, row k times
+    sign(w) becomes the new label's row, and every other row i becomes
+    sign(w) (w row_i - row_i[c] row_k) / den, an exact division."""
+    rows, den = tableau
+    w = rows[k][c]
+    if not w:
+        return None
+    pk, new = (rows[k], w) if w > 0 else ([-x for x in rows[k]], -w)
+    return [pk if i == k else rows[i] if not rows[i][c] and new == den else
+            [(new * x - rows[i][c] * y) // den for x, y in zip(rows[i], pk)]
+            for i in order], new
 
 
 def facet_table(generators: dict, facets) -> FacetTable:
-    """The FacetTable of label sets over labeled integer generators, one
-    integer_inverse per facet."""
-    n = len(next(iter(generators.values())))
-    keys = []
-    inverses = []
-    for facet in facets:
-        labs = tuple(sorted(facet))
-        keys.append(labs)
-        inverses.append(
-            integer_inverse([[generators[lab][c] for lab in labs] for c in range(n)])
-            if len(labs) == n else None)
-    return FacetTable(tuple(keys), tuple(inverses))
+    """The FacetTable of label sets over labeled integer generators.  The
+    first facet not yet reached takes one integer_inverse (N, den), with
+    tableau N A, and a breadth-first walk over the walls pivots once into
+    each facet reached from a nonsingular one; tableaux are unique."""
+    keys = tuple(tuple(sorted(f)) for f in facets)
+    adjacent, walls = _wall_graph(keys)
+    labels = sorted(generators)
+    columns = {lab: c for c, lab in enumerate(labels)}
+    n = len(generators[labels[0]])
+    tableaux = {}
+    for root, labs in enumerate(keys):
+        if root in tableaux:
+            continue
+        inv = integer_inverse([[generators[lab][c] for lab in labs] for c in range(n)]) \
+            if len(labs) == n else None
+        tableaux[root] = inv and ([[sum(a * x for a, x in zip(row, generators[lab]))
+                                    for lab in labels] for row in inv[0]], inv[1])
+        queue = [root]
+        for sigma in queue:
+            for tau, k, r, order in adjacent[sigma] if tableaux[sigma] else ():
+                if tau not in tableaux:
+                    tableaux[tau] = _pivot(tableaux[sigma], k, columns[r], order)
+                    queue.append(tau)
+    return FacetTable(keys, columns, tuple(map(tableaux.get, range(len(keys)))), walls)
 
 
 def validate_puzzle(p: Puzzle) -> bool:

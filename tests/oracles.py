@@ -18,10 +18,14 @@ reference_kernel_with_ones, the greedy rank loop that once built the
 diagram; and the positive relation over the kernel coordinates against
 reference_positive_relation, the LP over all m weights with one equality
 row per coordinate that it replaced.  Each facet
-inverse N / den of the facet table is checked by N . U = den * I and
-against one integer_det of its minor U, and the coface functionals it gives
-by Gale duality against one barycentric inverse per coface, the route
-s_sigma took through relint_intersection before.  The
+tableau W / den of the facet table, reached by wall pivots, is checked by
+A_sigma . W = den * A, against one integer_det of its minor A_sigma and
+against reference_facet_inverses, the integer_inverse of every facet that
+the table took before the walk, and its walls against reference_walls, the
+scan of every facet pair that the support oracle ran before; and the
+coface functionals it gives by
+Gale duality against one barycentric inverse per coface, the route s_sigma
+took through relint_intersection before.  The
 puzzle classes are checked against a canonical key that tries every
 copy permutation, an enumeration over every ordered offset tuple, and the
 offset-multiset enumeration that checked every square of G(J) of every
@@ -62,6 +66,7 @@ from toricwedge.exactmath import (
     _relint_of_simplices,
     _simplex_functionals,
     clear_denominators,
+    integer_inverse,
     make_primitive,
     strict_feasible,
 )
@@ -738,6 +743,58 @@ def check_nonsingular(mat, cx) -> bool:
     return facet_table({lab: mat.column(lab) for lab in mat.labels}, cx.facets).unimodular
 
 
+def reference_facet_inverses(generators: dict, facets) -> tuple:
+    """The facet table before the wall walk: for each facet, the
+    integer_inverse (N, den) of its generator matrix, the columns of the
+    facet's generators in label order, one elimination per facet.  None
+    when the matrix is singular or not square."""
+    n = len(next(iter(generators.values())))
+    return tuple(
+        integer_inverse([[generators[lab][c] for lab in sorted(f)] for c in range(n)])
+        if len(f) == n else None for f in facets)
+
+
+def reference_walls(facets) -> tuple:
+    """The walls as the support oracle found them before the wall graph: a
+    scan of every pair fi < fj of facets for those that share all labels
+    but one, giving (fi, the label of fj outside fi)."""
+    sets = [frozenset(f) for f in facets]
+    return tuple((fi, next(iter(sets[fj] - sets[fi])))
+                 for fi in range(len(sets)) for fj in range(fi + 1, len(sets))
+                 if len(sets[fi]) == len(sets[fj]) == len(sets[fi] & sets[fj]) + 1)
+
+
+def check_tableaux_against_inverses(generators: dict, facets) -> int:
+    """The library's facet table against reference_facet_inverses and
+    reference_walls: the same sorted facets and walls, a tableau exactly
+    where the facet matrix A_sigma is nonsingular, and then den =
+    |integer_det(A_sigma)|, A_sigma . W = den * A and W = N . A for the
+    reference (N, den), with A the generator matrix in the table's column
+    order.  Returns the number of tableaux compared."""
+    table = facet_table(generators, facets)
+    assert list(table) == [tuple(sorted(f)) for f in facets]
+    assert table.walls == reference_walls(facets)
+    assert sorted(table.columns.values()) == list(range(len(generators)))
+    labels = sorted(table.columns, key=table.columns.get)
+    assert set(labels) == set(generators)
+    n = len(next(iter(generators.values())))
+    a = [[generators[lab][c] for lab in labels] for c in range(n)]
+    compared = 0
+    for facet, tab, inv in zip(table.facets, table.tableaux,
+                               reference_facet_inverses(generators, facets)):
+        assert (tab is None) == (inv is None), f"facet {facet}: tableau {tab}, inverse {inv}"
+        if tab is None:
+            continue
+        w, den = tab
+        a_sigma = [[generators[lab][c] for lab in facet] for c in range(n)]
+        assert den == inv[1] == abs(integer_det(a_sigma))
+        assert [[sum(map(mul, row, col)) for col in zip(*w)] for row in a_sigma] == \
+            [[den * x for x in row] for row in a]
+        assert w == [[sum(map(mul, row, col)) for col in zip(*a)] for row in inv[0]]
+        compared += 1
+    return compared
+
+
 def reference_check_nonsingular(mat, cx) -> bool:
     """True iff every facet minor of the matrix is +-1, one integer_det per
     facet: the minor check before the facet table."""
@@ -784,9 +841,8 @@ def _same_functionals(a, b) -> bool:
 
 def check_facet_table_against_reference(obj):
     """The facet table and the Gale functionals of a valid input against the
-    routes they replaced: the table is unimodular, every facet inverse
-    N / den has N . U = den * I and den = |integer_det(U)| for its minor U,
-    every coface functional
+    routes they replaced: the table is unimodular, every facet tableau
+    passes check_tableaux_against_inverses, every coface functional
     equals the one _simplex_functionals computes from the coface's points,
     exactly as rationals, and s_sigma gives the certificate that the
     reference gives from those functionals, as relint_intersection did.
@@ -798,13 +854,8 @@ def check_facet_table_against_reference(obj):
     assert table.unimodular
     if not isinstance(obj, PlaneFan):
         assert reference_check_nonsingular(obj, build_complex(obj.signature_of()))
-    n = len(next(iter(gens.values())))
-    for facet, (inv, den) in zip(table.facets, table.inverses):
-        u = [[gens[lab][c] for lab in facet] for c in range(n)]
-        assert den == abs(integer_det(u))
-        # N . U = den * I
-        assert all(sum(inv[i][k] * u[k][j] for k in range(n)) == den * (i == j)
-                   for i in range(n) for j in range(n))
+    assert table == facet_table(gens, facets)
+    assert check_tableaux_against_inverses(gens, facets) == len(facets)
     gale = _coface_functionals(diagram, table)
     assert full is not None, "some coface is not a nonsingular full simplex"
     wants = full[1]

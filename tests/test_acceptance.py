@@ -388,8 +388,9 @@ def test_sweep_shephard_verdicts_match_reference(sweep_references):
 @pytest.mark.slow
 def test_sweep_facet_tables_match_reference(sweep_references):
     """On every class the sweep certified and the first class of each of
-    the 175 signatures, the facet table's determinants equal one
-    integer_det per facet, each Gale coface functional equals the one
+    the 175 signatures, each facet tableau reached by wall pivots is the
+    one integer_inverse and one integer_det of its facet give, each Gale
+    coface functional equals the one
     adjugate of its coface gives, exactly, and the Shephard certificate is
     the one the per-coface route gives."""
     n, covered, failures = sweep_references["facet"]

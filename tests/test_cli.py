@@ -499,6 +499,16 @@ def columns(n, labelled):
 FACET_TABLE_FAILURES = {
     "singular": (columns(2, [("1_1", [1, 0]), ("2_1", [0, 1]), ("3_1", [-1, 0])]),
                  "some facet minor is not +-1"),
+    # the facet table's wall walk from a unimodular first facet meets a
+    # facet of minor 2, or only singular facets, so the last facet of the
+    # square is inverted on its own; or it starts at a singular facet
+    "later minor 2": (columns(2, [("1_1", [1, 0]), ("2_1", [0, 1]), ("3_1", [-1, -2])]),
+                      "some facet minor is not +-1"),
+    "later singular": (columns(2, [("1_1", [1, 0]), ("2_1", [0, 1]), ("3_1", [0, -1]),
+                                   ("4_1", [-1, 0])]),
+                       "some facet minor is not +-1"),
+    "singular first": (columns(2, [("1_1", [1, 0]), ("2_1", [2, 0]), ("3_1", [-1, -1])]),
+                       "some facet minor is not +-1"),
     "duplicate label": (columns(2, [("1_1", [1, 0]), ("1_1", [0, 1]), ("2_1", [0, 1]),
                                     ("3_1", [-1, -1])]),
                         "matrix labels do not match the complex"),

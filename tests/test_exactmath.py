@@ -34,7 +34,7 @@ from toricwedge.shephard import (
     prepare,
     shephard_diagram,
 )
-from toricwedge.wedgepuzzle import enumerate_puzzles, signature
+from toricwedge.wedgepuzzle import enumerate_puzzles, facet_table, signature
 from oracles import (
     _reference_rref,
     assert_relint_certificate,
@@ -931,6 +931,32 @@ class TestIntegerInverse:
             assert det == integer_det(m)
             cof = cofactor_matrix(m)
             assert all(adj[c][j] == cof[j][c] for j in range(n) for c in range(n))
+
+
+class TestFacetTableWalk:
+    """A facet tableau is unique, so the wall walk that reaches it changes
+    nothing: a table built from the facets in reverse order, whose walk
+    starts at the other end, gives every facet the same tableau."""
+
+    @staticmethod
+    def check_reversed(obj):
+        prep = prepare(obj)
+        table = prep.table
+        backward = facet_table(prep.generators, table.facets[::-1])
+        assert backward.facets == table.facets[::-1]
+        assert dict(zip(backward.facets, backward.tableaux)) == \
+            dict(zip(table.facets, table.tableaux))
+        assert table.unimodular
+
+    def test_golden_puzzles(self):
+        puzzles = golden_puzzles()
+        assert len(puzzles) > 50
+        for puzzle in puzzles:
+            self.check_reversed(puzzle.matrix)
+
+    def test_48_ray_fans(self):
+        for k in (0, 24):
+            self.check_reversed(fan_48(k))
 
 
 class TestRref:

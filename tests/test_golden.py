@@ -11,10 +11,14 @@ two string hash seeds, which must print the same bytes.  Two tests compare
 every Shephard verdict on these inputs
 with one solve of the whole coface system, and two more compare the facet
 table and its Gale coface functionals with the per-facet determinants and
-per-coface adjugates they replaced.
+per-coface adjugates they replaced.  A slow test pins the whole corpus that
+the benchmark runs, as three digests.
 """
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -42,6 +46,7 @@ WEDGE_MATRIX = {"n": 4, "cols": [
     {"label": "5_1", "v": [0, -1, -2, 0]},
 ]}
 INPUTS = {"pentagon": PENTAGON, "ten_ray_fan": TEN_RAY_FAN, "wedge_matrix": WEDGE_MATRIX}
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_inputs.py"
 
 GOLDEN_CLASSIFY = {
     "2,1,1,1,1": "942971ff8840141c2eef5f3ac3ff0cba4eefa7c1d835a5e9acc46b923d32a5b5",
@@ -58,6 +63,17 @@ GOLDEN_INPUT = {
     ("shephard", "pentagon"): "5dea8398d0c37eb0f7d464f8a772a61e33f69baa56183be65375ff8dae08a747",
     ("shephard", "ten_ray_fan"): "10712ed951a3ef80422747b5391ff9e313c311398f8a8fed14fcdc86b34f00c7",
     ("shephard", "wedge_matrix"): "490f961320806a1eaa8b237d2ba9cb37813d5d7c6bf8f8a78ed6d16071c0de0c",
+}
+
+
+# sha256 over in-process runs, each output prefixed by its exit code and a
+# newline: classify on the benchmark's 28 cert signatures and on
+# J=1,4,1,1,1,1 at its base depth and shift bound, then check and shephard
+# on its 837 pool fans
+GOLDEN_CORPUS = {
+    "classify": "231bc0242a3dbdcdc54e9377e47406208212ace67186f346e587ece04fb72066",
+    "check": "9ab36fda48944db918d327b8f87f8917d0fe6b790275371d1e2224c0d92e4e54",
+    "shephard": "051b7b0afbf2a764e0fb8231688104930e2b2ea300bc071efc052fa7bafb7cfb",
 }
 
 
@@ -123,3 +139,47 @@ def test_input_facet_table_matches_reference(name):
     data = INPUTS[name]
     obj = fan_from_dict(data) if "rays" in data else matrix_from_dict(data)
     assert check_facet_table_against_reference(obj) > 0
+
+
+def bench_inputs():
+    """benchmarks/bench_inputs.py, imported without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+@pytest.mark.slow
+def test_benchmark_corpus_pinned(tmp_path):
+    inputs = bench_inputs()
+
+    def output(argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        return f"{code}\n{buf.getvalue()}".encode()
+
+    got = {}
+    h = hashlib.sha256()
+    for m, J in inputs.cert_signatures() + [(6, (1, 4, 1, 1, 1, 1))]:
+        h.update(output(["classify", "--m", str(m), "--j", ",".join(map(str, J)),
+                         "--base-depth", str(inputs.BASE_DEPTH),
+                         "--e-bound", str(inputs.E_BOUND), "--workers", "1"]))
+    got["classify"] = h.hexdigest()
+    pool = inputs.fan_pool()
+    assert len(pool) == 837
+    paths = []
+    for i, rays in enumerate(pool):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(json.dumps({"rays": [list(v) for v in rays]}))
+    for command in ("check", "shephard"):
+        h = hashlib.sha256()
+        for path in paths:
+            h.update(output([command, "--in", str(path)]))
+        got[command] = h.hexdigest()
+    assert got == GOLDEN_CORPUS

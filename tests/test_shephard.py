@@ -1,11 +1,12 @@
 import dataclasses
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricwedge import shephard
+from toricwedge import exactmath, shephard, wedgepuzzle
 from toricwedge.exactmath import (
     DimensionMismatch,
     InvariantViolation,
@@ -50,6 +51,7 @@ from oracles import (
     QMatrix,
     check_facet_table_against_reference,
     check_shephard_against_reference,
+    check_tableaux_against_inverses,
     is_zero,
     matmul,
     rank,
@@ -299,9 +301,16 @@ class TestOracles:
     def test_certify_prepares_once(self, monkeypatch):
         # one certify builds one facet table, which the minor check, the
         # coface functionals and the support walls all read, and solves one
-        # positive-relation LP, the only LP of the two oracles with weak rows
+        # positive-relation LP, the only LP of the two oracles with weak rows.
+        # It inverts two matrices: the first facet's, where the wall walk
+        # starts, and the reference coface's
         tables = []
         weak_lps = []
+        inverses = []
+        counted = (lambda m, real=exactmath.integer_inverse:
+                   inverses.append(m) or real(m))
+        for module in (exactmath, wedgepuzzle):
+            monkeypatch.setattr(module, "integer_inverse", counted)
         monkeypatch.setattr(shephard, "facet_table",
                             lambda *args, real=shephard.facet_table:
                             tables.append(args) or real(*args))
@@ -312,8 +321,9 @@ class TestOracles:
             mat = assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e))
             tables.clear()
             weak_lps.clear()
+            inverses.clear()
             verdict, c1, c2 = certify(mat)
-            assert (len(tables), len(weak_lps)) == (1, 1)
+            assert (len(tables), len(weak_lps), len(inverses)) == (1, 1, 2)
             assert verdict == "projective"
             prep = prepare(mat)
             assert (c1, c2) == (is_strongly_polytopal(prep)[1],
@@ -358,8 +368,12 @@ class TestFacetTable:
             with pytest.raises(LabelMismatch):
                 prepare(mat)
             return
-        table = facet_table({lab: mat.column(lab) for lab in mat.labels}, cx.facets)
+        gens = {lab: mat.column(lab) for lab in mat.labels}
+        table = facet_table(gens, cx.facets)
         assert table.unimodular == want
+        # every tableau, by wall pivots from nonsingular facets, is the one
+        # the facet's own integer_inverse gives
+        check_tableaux_against_inverses(gens, cx.facets)
         if want:
             try:
                 assert prepare(mat).table == table
@@ -369,6 +383,40 @@ class TestFacetTable:
             square = mat.n == mat.signature_of().n
             with pytest.raises(SingularInput if square else DimensionMismatch):
                 prepare(mat)
+
+    def test_non_unimodular_tableaux(self):
+        # the nested triangles' facets have minors 1 to 64, so their walk
+        # takes general pivots; any order of the facets gives each one the
+        # tableau of its own integer_inverse
+        rng = random.Random(5)
+        for triangles in (TWISTED, PULLED):
+            prep = nested_triangles_fan(triangles)
+            assert {den for _, den in prep.table.tableaux} != {1}
+            facets = list(prep.table.facets)
+            for _ in range(5):
+                rng.shuffle(facets)
+                assert check_tableaux_against_inverses(prep.generators, facets) == 10
+
+    def test_singular_facets_cut_the_walk(self, monkeypatch):
+        # over the square, v2 parallel to v3 and v1 parallel to v4 make the
+        # walls out of the first facet lead only to singular facets, so the
+        # last facet takes its own integer_inverse; a singular first facet
+        # starts the walk at the next one
+        gens = {1: (1, 0), 2: (0, 1), 3: (0, -1), 4: (-1, 0)}
+        facets = [frozenset({i, i % 4 + 1}) for i in range(1, 5)]
+        calls = []
+        monkeypatch.setattr(wedgepuzzle, "integer_inverse",
+                            lambda m, real=exactmath.integer_inverse:
+                            calls.append(m) or real(m))
+        table = facet_table(gens, facets)
+        assert [tab is None for tab in table.tableaux] == [False, True, False, True]
+        assert len(calls) == 2 and not table.unimodular
+        assert check_tableaux_against_inverses(gens, facets) == 2
+        triangle = {1: (1, 0), 2: (2, 0), 3: (-1, -1)}
+        cones = [frozenset(f) for f in ((1, 2), (2, 3), (1, 3))]
+        table = facet_table(triangle, cones)
+        assert [tab and tab[1] for tab in table.tableaux] == [None, 2, 1]
+        assert check_tableaux_against_inverses(triangle, cones) == 2
 
     def test_prepared_table_is_the_table_of_the_cones(self):
         fan = pentagon(2)

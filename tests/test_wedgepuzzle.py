@@ -1,9 +1,12 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 
 import pytest
 
+import toricwedge
 from toricwedge import wedgepuzzle
 from toricwedge.exactmath import InvariantViolation
 from toricwedge.planefan import (
@@ -605,3 +608,22 @@ class TestJson:
                       {"color": 4, "from": [1] * 5, "to": [1, 1, 1, 2, 1], "e": 1}]}
         # the offsets are what is_edge solves from the fans they produce
         assert AssignedPuzzle(p.sig, p.assignment).offsets == p.offsets
+
+
+def test_every_cache_is_bounded():
+    """Every lru_cache in the toricwedge modules, the wall graphs of the
+    facet tables among them, has a finite maxsize."""
+    sizes = {}
+    for info in pkgutil.iter_modules(toricwedge.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"toricwedge.{info.name}")
+        for obj in vars(mod).values():
+            for fn in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+                if callable(getattr(fn, "cache_parameters", None)) and \
+                        getattr(fn, "__module__", "").startswith("toricwedge"):
+                    sizes[f"{fn.__module__}.{fn.__qualname__}"] = \
+                        fn.cache_parameters()["maxsize"]
+    assert "toricwedge.wedgepuzzle._wall_graph" in sizes
+    assert "toricwedge.planefan.canonical_form" in sizes
+    assert all(type(size) is int and size > 0 for size in sizes.values()), sizes
