@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
+from math import gcd
 
 from .exactmath import InvariantViolation
 from .planefan import (
@@ -49,9 +49,11 @@ EXIT_INTERNAL = 4
 INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 
-def frac_str(x) -> str:
-    """An int or a Fraction as "p" or "p/q"; both are already in lowest terms."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def frac_str(p: int, q: int = 1) -> str:
+    """The rational p / q, integers with q > 0, in lowest terms as "p" or
+    "p/q"."""
+    g = gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
 
 
 def _label_str(lab) -> str:
@@ -65,15 +67,15 @@ def _facet_str(facet) -> str:
 def certificate_to_dict(verdict: str, interior=None, heights=None) -> dict:
     out = {"verdict": verdict}
     if interior is not None and interior.point is not None:
-        out["witness"] = [frac_str(v) for v in interior.point]
+        xs, den = interior.point
+        out["witness"] = [frac_str(v, den) for v in xs]
         out["barycentric"] = {
-            _facet_str(k): [frac_str(l) for l in lam]
-            for k, lam in sorted(interior.barycentric.items())
+            _facet_str(k): [frac_str(l, d) for l in lam]
+            for k, (lam, d) in sorted(interior.barycentric.items())
         }
     if heights is not None and heights.heights is not None:
-        out["heights"] = {
-            _label_str(lab): frac_str(v) for lab, v in sorted(heights.heights.items())
-        }
+        hs, den = heights.heights
+        out["heights"] = {_label_str(lab): frac_str(v, den) for lab, v in sorted(hs.items())}
     return out
 
 
@@ -206,7 +208,8 @@ def cmd_shephard(args) -> int:
                    for l, p in sorted(diagram.points.items())},
         "cofaces": {_facet_str(f): [_label_str(l) for l in sorted(coface_indices(diagram, f))]
                     for f in prep.table},
-        "witness": [frac_str(v) for v in cert.point] if cert.kind == "interior-point" else None,
+        "witness": ([frac_str(v, cert.point[1]) for v in cert.point[0]]
+                    if cert.kind == "interior-point" else None),
     }
     _write(out, args.out)
     return 0
@@ -290,9 +293,10 @@ def cmd_classify(args) -> int:
         handed = (puzzles.pop() for _ in range(n))
         if workers > 1 and n > 1:
             import multiprocessing
-            with multiprocessing.Pool(workers) as pool:
+            procs = min(workers, n)
+            with multiprocessing.Pool(procs) as pool:
                 # the chunk size pool.map would choose
-                chunks = -(-n // (4 * workers))
+                chunks = -(-n // (4 * procs))
                 certified = list(pool.imap(_certify_in_worker, handed, chunks))
             for result in certified:
                 if isinstance(result, Exception):
@@ -309,7 +313,7 @@ def cmd_classify(args) -> int:
             "classes": n,
             "projective": n_proj,
             "oracle_disagreements": n_disagree,
-            "fraction_projective": frac_str(Fraction(n_proj, n)) if n else "0",
+            "fraction_projective": frac_str(n_proj, n) if n else "0",
         }, certified, fh)
     if n_disagree:
         return EXIT_DISAGREEMENT

@@ -1,18 +1,11 @@
-"""Exact rational linear algebra and strict-inequality feasibility.
+"""Exact integer linear algebra and strict-inequality feasibility.
 
-Every value is an exact rational, so verdicts come with witnesses that
-re-substitute exactly.  The feasibility engine is a two-phase simplex with
-Bland's anti-cycling rule, maximizing an auxiliary slack variable t (capped
-at 1); a system with strict inequalities is feasible iff the optimal t is
-positive.  Free variables are x = x' - mu*1 with x' >= 0 and one shift
-column mu >= 0.
-
-The loops run on integers: integer constraint rows stay integers, the
-simplex runs on a condensed all-integer tableau (only the nonbasic columns
-are stored) with an integer objective row, and slack and barycentric
-coordinates are computed over one common denominator.  Fraction remains only
-in non-integer constraint entries and in the witness, slack and barycentric
-tuples of a result.
+Only integers enter and leave.  A StrictLinearSystem has integer weak and
+strict rows, and strict_feasible decides it by a two-phase simplex with
+Bland's anti-cycling rule on a condensed all-integer tableau (only the
+nonbasic columns are stored) with an integer objective row.  A result's
+witness, slack and barycentric tuples are integer numerators over one
+positive denominator, in lowest terms, so they re-substitute exactly.
 
 One elimination serves kernels and inverses: _rref, Bareiss's fraction-free
 Gauss-Jordan elimination.  kernel_basis reads primitive integer kernel
@@ -30,12 +23,9 @@ Shephard oracle derives by Gale duality from the facet tableaux.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd as _gcd
+from math import gcd as _gcd, lcm as _lcm
 from operator import mul as _mul
 from typing import Optional, Sequence
-
-Q = Fraction
 
 
 class DimensionMismatch(ValueError):
@@ -44,11 +34,6 @@ class DimensionMismatch(ValueError):
 
 class InvariantViolation(RuntimeError):
     """An internal invariant failed: a program bug, never a bad input."""
-
-
-def _exact(x):
-    """An int stays an int; anything else becomes a Fraction."""
-    return x if type(x) is int else Fraction(x)
 
 
 def _rref(rows) -> tuple[list[list[int]], list[int], int]:
@@ -127,60 +112,61 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]
     return [r[n:] for r in rows], den
 
 
-def clear_denominators(values) -> tuple[list[int], int]:
-    """(ints, scale): the smallest positive scale making every value integral.
-
-    values are ints or Fractions; the scaling is integer arithmetic only.
-    """
-    scale = 1
-    for v in values:
-        d = v.denominator
-        if d != 1:
-            scale = scale * d // _gcd(scale, d)
-    if scale == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def make_primitive(ints: Sequence[int]) -> list[int]:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
     g = _gcd(*ints)
     return [v // g for v in ints] if g > 1 else list(ints)
 
 
+def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """(nums, den), den > 0, divided by the gcd of den and every numerator."""
+    g = _gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num / den, den > 0, as (num, den) in lowest terms."""
+    g = _gcd(num, den)
+    return num // g, den // g
+
+
 @dataclass(frozen=True)
 class StrictLinearSystem:
-    """Linear system a.x = b / a.x <= b / a.x < b over a common dimension.
-
-    Entries are exact: ints as given, every other number as a Fraction.
-    """
+    """Integer rows a.x <= b (weak) and a.x < b (strict) over a common
+    dimension.  The constructor raises DimensionMismatch on a row whose a is
+    not dimension long and TypeError on an entry that is not an int, a bool
+    included; build makes the rows tuples."""
 
     dimension: int
-    equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
-    weak: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
-    strict: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
+    weak: tuple[tuple[tuple[int, ...], int], ...] = ()
+    strict: tuple[tuple[tuple[int, ...], int], ...] = ()
+    equalities = ()  # none; read by the LP row count of benchmarks/bench_trace.py
+
+    def __post_init__(self):
+        for a, b in (*self.weak, *self.strict):
+            if len(a) != self.dimension:
+                raise DimensionMismatch(
+                    f"constraint length {len(a)} != dimension {self.dimension}")
+            if type(b) is not int or any(type(v) is not int for v in a):
+                raise TypeError(f"constraint entries must be ints, got {a!r}, {b!r}")
 
     @classmethod
-    def build(cls, dimension, equalities=(), weak=(), strict=()) -> "StrictLinearSystem":
-        def conv(cons):
-            out = []
-            for a, b in cons:
-                a = tuple(map(_exact, a))
-                if len(a) != dimension:
-                    raise DimensionMismatch(
-                        f"constraint length {len(a)} != dimension {dimension}")
-                out.append((a, _exact(b)))
-            return tuple(out)
-
-        return cls(dimension, conv(equalities), conv(weak), conv(strict))
+    def build(cls, dimension, weak=(), strict=()) -> "StrictLinearSystem":
+        return cls(dimension, tuple((tuple(a), b) for a, b in weak),
+                   tuple((tuple(a), b) for a, b in strict))
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """A verdict and, when feasible, the witness x as (xs, den), the slack
+    as (num, den) and, from _relint_of_simplices, one barycentric tuple
+    (nums, den) per simplex: integer numerators over one positive
+    denominator, in lowest terms."""
+
     feasible: bool
-    witness: Optional[tuple[Fraction, ...]] = None
-    slack: Optional[Fraction] = None
-    barycentric: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    witness: Optional[tuple[tuple[int, ...], int]] = None
+    slack: Optional[tuple[int, int]] = None
+    barycentric: Optional[tuple[tuple[tuple[int, ...], int], ...]] = None
 
 
 class _Simplex:
@@ -212,7 +198,7 @@ class _Simplex:
                 obj, den = _combine(obj, den, row, bi, objective[b] * den)
         self.obj, self.den = obj, den
 
-    def maximize(self) -> Fraction:
+    def maximize(self) -> tuple[int, int]:
         t, basis, cols = self.t, self.basis, self.cols
         while True:
             obj = self.obj
@@ -236,9 +222,9 @@ class _Simplex:
                 raise ArithmeticError("unbounded objective in simplex phase")
             self.pivot(leaving, q)
 
-    def value(self) -> Fraction:
-        """The objective at the current vertex."""
-        return Fraction(-self.obj[-1], self.den)
+    def value(self) -> tuple[int, int]:
+        """The objective at the current vertex, as (num, den) in lowest terms."""
+        return _ratio(-self.obj[-1], self.den)
 
     def pivot(self, row: int, q: int, dual: bool = False):
         """Exchange basis[row] and cols[q].  A negative pivot entry is legal
@@ -264,21 +250,19 @@ class _Simplex:
     def drive_out(self, limit: int):
         """After phase 1: pivot each basic artificial (column >= limit) out on
         the lowest column below limit where its row is nonzero, then drop the
-        rows whose artificial stays basic (redundant equalities) and the
-        artificial columns."""
+        artificial columns.  Every row has its own slack column, so the
+        columns below limit have full row rank and each artificial leaves."""
         cols = self.cols
         for i, b in enumerate(self.basis):
             if b >= limit:
                 row = self.t[i]
                 q = min((k for k, c in enumerate(cols) if c < limit and row[k]),
                         key=cols.__getitem__, default=None)
-                if q is not None:
-                    self.pivot(i, q)
+                if q is None:
+                    raise InvariantViolation("an artificial cannot leave the basis")
+                self.pivot(i, q)
         keep = [k for k, c in enumerate(cols) if c < limit] + [-1]
-        live = [i for i, b in enumerate(self.basis) if b < limit]
-        self.t = [[self.t[i][k] for k in keep] for i in live]
-        self.bc = [self.bc[i] for i in live]
-        self.basis = [self.basis[i] for i in live]
+        self.t = [[row[k] for k in keep] for row in self.t]
         self.cols = [cols[k] for k in keep[:-1]]
 
     def add_row(self, coef, rhs: int):
@@ -325,14 +309,6 @@ class _Simplex:
                 return False
             self.pivot(r, q, dual=True)
 
-    def values(self, ncols: int) -> list[tuple[int, int]]:
-        """(numerator, denominator) of the first ncols variables at the vertex."""
-        out = [(0, 1)] * ncols
-        for row, bi, b in zip(self.t, self.bc, self.basis):
-            if b < ncols:
-                out[b] = (row[-1], bi)
-        return out
-
 
 def _combine(ri, bi, prow, pv, f, q=None, br=0):
     """pv*ri - f*prow, with -f*br at position q, and its basic coefficient
@@ -360,19 +336,16 @@ def strict_feasible(sys: StrictLinearSystem) -> FeasibilityResult:
     constraint and t <= 1; the system is feasible iff the optimum is positive.
     The free x is written x = x' - mu*1 with x' >= 0 and one shift column
     mu >= 0, so the tableau has dim + 1 columns for x rather than 2*dim.
-    The witness satisfies every equality exactly; the reported slack is the
-    smallest strict-constraint margin.
+    The reported slack is the smallest strict-constraint margin, or the
+    optimal t when there is no strict constraint.
     """
     tab = _optimal_tableau(sys)
     if tab is None:
         return FeasibilityResult(False)
-    witness = _witness(tab, sys.dimension)
-    if not sys.strict:
-        return FeasibilityResult(True, witness, tab.value())
-    # smallest margin b - a.x, over the witness's common denominator
-    xs, scale = clear_denominators(witness)
-    margin = min(b * scale - sum(map(_mul, a, xs)) for a, b in sys.strict)
-    return FeasibilityResult(True, witness, Q(margin, scale))
+    xs, den = witness = _witness(tab, sys.dimension)
+    margins = [b * den - sum(map(_mul, a, xs)) for a, b in sys.strict]
+    slack = _ratio(min(margins), den) if margins else tab.value()
+    return FeasibilityResult(True, witness, slack)
 
 
 def _optimal_tableau(sys: StrictLinearSystem) -> Optional[_Simplex]:
@@ -381,86 +354,67 @@ def _optimal_tableau(sys: StrictLinearSystem) -> Optional[_Simplex]:
     dim = sys.dimension
     # variable layout: x' (dim), mu, t | slacks | artificials
     nx = dim + 2
-    t_col = dim + 1
-    raw: list[tuple[list, object, bool]] = []
-    for a, b in sys.equalities:
-        raw.append(([*a, -sum(a), 0], b, False))
-    for a, b in sys.weak:
-        raw.append(([*a, -sum(a), 0], b, True))
-    for a, b in sys.strict:
-        raw.append(([*a, -sum(a), 1], b, True))
-    raw.append(([0] * (dim + 1) + [1], 1, True))
-
-    nslack = sum(1 for r in raw if r[2])
-    # Equality rows and flipped (negative rhs) inequality rows start on an
-    # artificial; a flipped row's slack starts nonbasic, after the x' columns.
-    nflip = sum(1 for _, rhs, le in raw if le and rhs < 0)
+    raw = [([*a, -sum(a), 0], b) for a, b in sys.weak]
+    raw += [([*a, -sum(a), 1], b) for a, b in sys.strict]
+    raw.append(([0] * (dim + 1) + [1], 1))
+    limit = nx + len(raw)
+    # A row with a negative rhs is flipped and starts on an artificial, the
+    # artificials numbered from limit in row order; its slack starts
+    # nonbasic, after the x' columns.
+    nflip = sum(1 for _, rhs in raw if rhs < 0)
     cols = list(range(nx))
-    rows, bc, basis = [], [], []
-    si = ai = 0
-    for coef, rhs, le in raw:
-        line, scale = clear_denominators(coef + [rhs])
-        rhs_i = line.pop()
-        line += [0] * nflip
-        if le and rhs_i < 0:
-            line[len(cols)] = scale
+    rows, basis = [], []
+    for si, (coef, rhs) in enumerate(raw):
+        line = coef + [0] * nflip
+        if rhs < 0:
+            basis.append(limit + len(cols) - nx)
+            line[len(cols)] = 1
             cols.append(nx + si)
-        if not le or rhs_i < 0:
-            basis.append(nx + nslack + ai)
-            bc.append(1)
-            ai += 1
+            line, rhs = [-x for x in line], -rhs
         else:
             basis.append(nx + si)
-            bc.append(scale)
-        if rhs_i < 0:
-            line = [-x for x in line]
-            rhs_i = -rhs_i
-        if le:
-            si += 1
-        rows.append(line + [rhs_i])
-    tab = _Simplex(rows, bc, basis, cols)
-    limit = nx + nslack
+        rows.append(line + [rhs])
+    tab = _Simplex(rows, [1] * len(rows), basis, cols)
 
-    if ai:
-        tab.set_objective([0] * limit + [-1] * ai)
-        if tab.maximize() != 0:
+    if nflip:
+        tab.set_objective([0] * limit + [-1] * nflip)
+        if tab.maximize()[0] != 0:
             return None
         tab.drive_out(limit)
-
-    phase2 = [0] * limit
-    phase2[t_col] = 1
-    tab.set_objective(phase2)
-    return tab if tab.maximize() > 0 else None
+    tab.set_objective([0] * (dim + 1) + [1] + [0] * len(raw))  # maximize t
+    return tab if tab.maximize()[0] > 0 else None
 
 
-def _witness(tab: _Simplex, dim: int) -> tuple[Fraction, ...]:
-    """x = x' - mu*1 at the tableau's vertex."""
-    val = tab.values(dim + 1)
-    mn, md = val[dim]
-    return tuple(Q(pn * md - mn * pd, pd * md) for pn, pd in val[:dim])
+def _witness(tab: _Simplex, dim: int) -> tuple[tuple[int, ...], int]:
+    """x = x' - mu*1 at the tableau's vertex, as (xs, den) in lowest terms:
+    a basic variable is its row's rhs over the row's bc, any other is 0."""
+    val = [(0, 1)] * (dim + 1)
+    for row, bi, b in zip(tab.t, tab.bc, tab.basis):
+        if b <= dim:
+            val[b] = (row[-1], bi)
+    den = _lcm(*(d for _, d in val))
+    mu = val[dim][0] * (den // val[dim][1])
+    return _lowest([n * (den // d) - mu for n, d in val[:dim]], den)
 
 
 def _simplex_functionals(fam):
-    """Integer barycentric functionals of a full simplex of rational points.
+    """Integer barycentric functionals of a full simplex of integer points.
 
-    Returns (rows, factor) with lambda_j(x) = factor * (rows[j] . (x, 1)) and
-    factor > 0, or None when the points are affinely dependent.  rows[j] is
-    column j of N, where N / den is the integer_inverse of the integer
-    matrix whose rows are (k*p, k), k clearing every denominator.
+    Returns (rows, k) with lambda_j(x) = (rows[j] . (x, 1)) / k and k > 0,
+    or None when the points are affinely dependent.  rows[j] is column j of
+    N, where N / k is the integer_inverse of the matrix whose rows are
+    (p, 1).
     """
-    dim = len(fam[0])
-    ints, scale = clear_denominators([v for p in fam for v in p])
-    m = [ints[i * dim:(i + 1) * dim] + [scale] for i in range(len(fam))]
-    inv = integer_inverse(m)
+    inv = integer_inverse([[*p, 1] for p in fam])
     if inv is None:
         return None
     inv_rows, den = inv
-    return [list(col) for col in zip(*inv_rows)], Q(scale, den)
+    return [list(col) for col in zip(*inv_rows)], den
 
 
 def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
     """Whether the relative interiors of full simplices intersect, given as
-    the (rows, factor) functionals of _simplex_functionals, by row
+    the (rows, k) functionals of _simplex_functionals, by row
     generation on one warm tableau.
 
     Each functional lambda_j > 0 is one strict row, deduplicated across
@@ -490,10 +444,9 @@ def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
             own.append(index[key])
         members.append(own)
     tab = _optimal_tableau(StrictLinearSystem.build(
-        dim, (), (), [rows[i] for i in sorted({own[0] for own in members})]))
+        dim, (), [rows[i] for i in sorted({own[0] for own in members})]))
     while tab is not None:
-        witness = _witness(tab, dim)
-        xs, scale = clear_denominators(witness)
+        xs, scale = witness = _witness(tab, dim)
         margins = [b * scale - sum(map(_mul, a, xs)) for a, b in rows]
         worst = {min(own, key=lambda i: (margins[i], i)) for own in members}
         violated = sorted(i for i in worst if margins[i] <= 0)
@@ -503,15 +456,13 @@ def _relint_of_simplices(simplices, dim: int) -> FeasibilityResult:
             # a.x + t <= b over x', mu, t, as _optimal_tableau lays it out
             a, b = rows[i]
             tab.add_row([*a, -sum(a), 1], b)
-        if not tab.restore() or tab.value() <= 0:
+        if not tab.restore() or tab.value()[0] <= 0:
             tab = None
     if tab is None:
         return FeasibilityResult(False)
-    # lambda_j = factor * (r . (xs, scale)) / scale, one Fraction each
+    # lambda_j = (r . (xs, scale)) / (k * scale)
     bary = tuple(
-        tuple(Q(factor.numerator * (sum(map(_mul, r, xs)) + r[dim] * scale),
-                factor.denominator * scale)
-              for r in fam_rows)
-        for fam_rows, factor in simplices)
-    slack = Q(min(margins), scale) if rows else tab.value()
+        _lowest([sum(map(_mul, r, xs)) + r[dim] * scale for r in fam_rows], k * scale)
+        for fam_rows, k in simplices)
+    slack = _ratio(min(margins), scale) if rows else tab.value()
     return FeasibilityResult(True, witness, slack, bary)

@@ -15,7 +15,6 @@ barycentric functionals of the cofaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import mul as _mul
 from typing import Optional
@@ -26,15 +25,12 @@ from .exactmath import (
     StrictLinearSystem,
     _relint_of_simplices,
     _simplex_functionals,
-    clear_denominators,
     kernel_basis,
     make_primitive,
     strict_feasible,
 )
 from .planefan import PlaneFan, validate
 from .wedgepuzzle import CharMatrix, FacetTable, LabelMismatch, build_complex, facet_table
-
-Q = Fraction
 
 
 class NotComplete(ValueError):
@@ -56,11 +52,15 @@ class ShephardDiagram:
 
 @dataclass(frozen=True)
 class PolytopalityCertificate:
+    """A verdict's witness as integer numerators over one denominator: the
+    interior point (xs, den), a (nums, den) barycentric tuple per facet, the
+    support heights ({label: num}, den) and the slack (num, den)."""
+
     kind: str  # interior-point | support-heights | empty-witness
     point: Optional[tuple] = None
     barycentric: Optional[dict] = None
-    heights: Optional[dict] = None
-    slack: Optional[Fraction] = None
+    heights: Optional[tuple] = None
+    slack: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,10 @@ def positive_relation(generators) -> tuple[int, ...]:
     if not kern:
         raise NotComplete("generators are linearly independent")
     weak = [([-col[i] for col in kern], -1) for i in range(len(gens))]
-    res = strict_feasible(StrictLinearSystem.build(len(kern), (), weak, ()))
+    res = strict_feasible(StrictLinearSystem.build(len(kern), weak))
     if not res.feasible:
         raise NotComplete("generators admit no positive zero-sum relation")
-    ys, _ = clear_denominators(res.witness)
+    ys, _ = res.witness
     return tuple(make_primitive(
         [sum(col[i] * y for col, y in zip(kern, ys)) for i in range(len(gens))]))
 
@@ -157,9 +157,8 @@ def coface_indices(diagram: ShephardDiagram, cone) -> frozenset:
 
 
 def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
-    """Integer barycentric functionals of every coface, in the (rows,
-    factor) form of _simplex_functionals and in table order, by Gale
-    duality.
+    """Integer barycentric functionals of every coface, in the (rows, k)
+    form of _simplex_functionals and in table order, by Gale duality.
 
     The left kernel of the point matrix [p_j | 1] is the row space of the
     weighted generator matrix A diag(c).  So the functionals lambda of a
@@ -169,7 +168,8 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
         lambda_j = mu_j - c_j sum_{s in sigma} (A_sigma^-1 u_j)_s mu_s / c_s,
     with (A_sigma^-1 u_j)_s = W[s][j] / den from sigma's tableau.  It applies
     when every facet matrix is nonsingular, every coface has ambient_dim + 1
-    points, the weights are nonzero integers and A diag(c) [p_j | 1] = 0,
+    points, the points are integer, the weights are nonzero integers and
+    A diag(c) [p_j | 1] = 0,
     which is how shephard_diagram builds a diagram from a prepared input;
     any other diagram raises InvariantViolation.
     """
@@ -179,8 +179,9 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     weights = diagram.weights
     if not table.facets or None in table.tableaux or any(
             len(labels) - len(f) != dim + 1 for f in table.facets) or any(
-            type(weights[lab]) is not int or weights[lab] == 0 for lab in labels):
-        raise InvariantViolation("facets, cofaces or weights unfit for Gale duality")
+            type(weights[lab]) is not int or weights[lab] == 0 for lab in labels) or any(
+            type(v) is not int for p in diagram.points.values() for v in p):
+        raise InvariantViolation("facets, cofaces, points or weights unfit for Gale duality")
     # A diag(c) [p_j | 1] = 0
     n = len(gens[labels[0]])
     columns = [[1] * len(labels)] + [[diagram.points[lab][t] for lab in labels]
@@ -194,12 +195,11 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
     simplex = _simplex_functionals([diagram.points[lab] for lab in ref])
     if simplex is None:
         raise InvariantViolation("reference coface is not a full simplex")
-    rows0, factor0 = simplex
+    rows0, k0 = simplex
     mu = dict(zip(ref, rows0))
     scale = lcm(*(weights[lab] for lab in ref))
     # mu_s / c_s over the common denominator scale
     nu = {s: [scale // weights[s] * v for v in mu[s]] for s in ref}
-    factors = {den: factor0 / (den * scale) for den in {den for _, den in table.tableaux}}
     out = []
     for facet, (tab, den) in zip(table.facets, table.tableaux):
         d = den * scale
@@ -216,7 +216,7 @@ def _coface_functionals(diagram: ShephardDiagram, table: FacetTable):
                 if w:
                     row = [a - w * b for a, b in zip(row, nu_s)]
             rows.append(row)
-        out.append((rows, factors[den]))
+        out.append((rows, k0 * d))
     return out
 
 
@@ -250,7 +250,7 @@ def support_function_polytopal(prep: Prepared) -> tuple[bool, PolytopalityCertif
     the reverse one being the same inequality through the other cone.  The
     weights of that ray r in the generators of the facet fi, unimodular,
     are column r of fi's tableau.  Heights are gauge-fixed to zero on the
-    first facet.
+    first facet; the others are the witness numerators over its denominator.
     """
     table = prep.table
     facets = table.facets
@@ -266,14 +266,14 @@ def support_function_polytopal(prep: Prepared) -> tuple[bool, PolytopalityCertif
         if r_out in pos:
             row[pos[r_out]] -= 1
         bends.setdefault(tuple(row))
-    strict = [(list(row), 0) for row in bends]
-    res = strict_feasible(StrictLinearSystem.build(len(free), (), (), strict))
+    res = strict_feasible(StrictLinearSystem.build(len(free), (), [(row, 0) for row in bends]))
     if not res.feasible:
         return False, PolytopalityCertificate(kind="empty-witness")
-    heights = {lab: Q(0) for lab in facets[0]}
-    heights.update({lab: res.witness[pos[lab]] for lab in free})
+    xs, den = res.witness
+    heights = {lab: 0 for lab in facets[0]}
+    heights.update({lab: xs[pos[lab]] for lab in free})
     return True, PolytopalityCertificate(
-        kind="support-heights", heights=heights, slack=res.slack)
+        kind="support-heights", heights=(heights, den), slack=res.slack)
 
 
 def certify(obj) -> tuple[str, PolytopalityCertificate, PolytopalityCertificate]:

@@ -489,6 +489,8 @@ def matrix_from_dict(data: dict) -> CharMatrix:
         # a matrix over P_m(J) has d = sum(J) >= m columns and k <= j_i
         if max(int(match[1]), int(match[2])) > len(data["cols"]):
             raise ValueError(f"column label {label!r} has an index above the column count")
+        if (int(match[1]), int(match[2])) in labels:
+            raise ValueError(f"column label {label!r} repeats")
         labels.append((int(match[1]), int(match[2])))
         cols.append([int(x) for x in entry["v"]])
     n = int(data["n"])

@@ -47,9 +47,18 @@ fan_from_matrix, with their NotWedged and InvalidPuzzle, and is_realizable,
 the projection round trip that enumeration once ran on every class, live
 here because the docstring of assemble_matrix proves realizability and
 enumerate_puzzles_keyed checks its one precondition instead.
+
+The library's LP interface takes integer weak and strict rows only, and
+returns integer numerators over one denominator.  Tests write rational
+systems, with equality rows, as a RationalSystem: integer_system scales each
+row to integers and turns each equality into two weak rows, solve_rational
+solves that and maps the result back to Fractions in the caller's units, and
+check_rational compares both with reference_strict_feasible.  Rational
+simplices go to the library through rational_simplex_functionals, and
+clear_denominators, which the library no longer calls, serves them all.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -65,7 +74,6 @@ from toricwedge.exactmath import (
     _rref,
     _relint_of_simplices,
     _simplex_functionals,
-    clear_denominators,
     integer_inverse,
     make_primitive,
     strict_feasible,
@@ -161,13 +169,117 @@ def integer_det(m):
     return sign * a[n - 1][n - 1]
 
 
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(ints, scale): the smallest positive scale making every value
+    integral, for ints and Fractions."""
+    scale = 1
+    for v in values:
+        d = v.denominator
+        if d != 1:
+            scale = scale * d // gcd(scale, d)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+@dataclass(frozen=True)
+class RationalSystem:
+    """A linear system a.x = b / a.x <= b / a.x < b with exact rational
+    entries: the general form that tests write, which the library's integer
+    StrictLinearSystem does not take.  integer_system converts it and
+    solve_rational solves it; verify_result, fourier_motzkin_feasible and
+    reference_strict_feasible read it as it is."""
+
+    dimension: int
+    equalities: tuple = ()
+    weak: tuple = ()
+    strict: tuple = ()
+
+    @classmethod
+    def build(cls, dimension, equalities=(), weak=(), strict=()) -> "RationalSystem":
+        def conv(cons):
+            out = []
+            for a, b in cons:
+                a = _qvec(a)
+                if len(a) != dimension:
+                    raise DimensionMismatch(
+                        f"constraint length {len(a)} != dimension {dimension}")
+                out.append((a, Q(b)))
+            return tuple(out)
+
+        return cls(dimension, conv(equalities), conv(weak), conv(strict))
+
+
+def integer_system(sys) -> StrictLinearSystem:
+    """The integer StrictLinearSystem of a RationalSystem: each row scaled
+    by the least positive integer that clears its denominators, and each
+    equality a.x = b as the two weak rows a.x <= b and -a.x <= -b, ahead of
+    the weak rows."""
+    def scaled(a, b):
+        ints, _ = clear_denominators([*a, b])
+        return ints[:-1], ints[-1]
+
+    weak = []
+    for a, b in sys.equalities:
+        a, b = scaled(a, b)
+        weak += [(a, b), ([-v for v in a], -b)]
+    weak += [scaled(a, b) for a, b in sys.weak]
+    return StrictLinearSystem.build(sys.dimension, weak, [scaled(a, b) for a, b in sys.strict])
+
+
+def fractions_of(pair) -> tuple[Fraction, ...]:
+    """The Fractions of a library (numerators, den) pair."""
+    nums, den = pair
+    return tuple(Q(v, den) for v in nums)
+
+
+def as_fractions(res):
+    """A library FeasibilityResult with its witness, slack and barycentric
+    (numerators, den) pairs as Fractions."""
+    if not res.feasible:
+        return res
+    bary = res.barycentric
+    return FeasibilityResult(True, fractions_of(res.witness), Q(*res.slack),
+                             None if bary is None else tuple(map(fractions_of, bary)))
+
+
+def as_pairs(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as the library's (numerators, den) pair in lowest terms."""
+    ints, den = clear_denominators(values)
+    return tuple(ints), den
+
+
+def solve_rational(sys):
+    """strict_feasible of a RationalSystem through integer_system, with the
+    result in Fractions and in the caller's units: the slack is the least
+    margin b - a.x over sys's own strict rows, or the optimal t when there
+    is none."""
+    res = as_fractions(strict_feasible(integer_system(sys)))
+    if res.feasible and sys.strict:
+        res = replace(res, slack=min(margins(sys, res.witness)))
+    return res
+
+
+def check_rational(sys):
+    """solve_rational(sys) against the references: strict_feasible equals
+    reference_strict_feasible on integer_system(sys), whole results
+    compared; the verdict equals the reference's on sys itself, which
+    differs from the converted system where it has equalities or rational
+    rows; and the witness re-substitutes into sys.  Returns the result."""
+    conv = integer_system(sys)
+    assert as_fractions(strict_feasible(conv)) == reference_strict_feasible(conv)
+    res = solve_rational(sys)
+    assert res.feasible == reference_strict_feasible(sys).feasible
+    assert verify_result(sys, res)
+    return res
+
+
 def verify_result(sys, res) -> bool:
     """Re-substitute a feasibility witness into every row of the system."""
     if not res.feasible:
         return res.witness is None
     x = res.witness
     dot = lambda a: sum((ai * xi for ai, xi in zip(a, x)), Q(0))
-    if any(dot(a) != b for a, b in sys.equalities):
+    # a StrictLinearSystem has no equality rows
+    if any(dot(a) != b for a, b in getattr(sys, "equalities", ())):
         return False
     if any(dot(a) > b for a, b in sys.weak):
         return False
@@ -198,10 +310,24 @@ def relint_intersection(families, dimension=None):
         if any(len(p) != dim for p in fam):
             raise DimensionMismatch("families live in different ambient dimensions")
     if all(len(fam) == dim + 1 for fam in fams):
-        simplices = [_simplex_functionals(fam) for fam in fams]
+        simplices = [rational_simplex_functionals(fam) for fam in fams]
         if None not in simplices:
-            return _relint_of_simplices(simplices, dim)
+            return as_fractions(_relint_of_simplices(simplices, dim))
     return explicit_relint_intersection(fams, dim)
+
+
+def rational_simplex_functionals(fam):
+    """_simplex_functionals of a full simplex of rational points, as (rows,
+    k) with lambda_j(x) = (rows[j] . (x, 1)) / k: the library takes the
+    points scaled by the least s that clears their denominators, and
+    scaling x by s scales the first dim entries of each row by s."""
+    dim = len(fam[0])
+    ints, s = clear_denominators([v for p in fam for v in p])
+    simplex = _simplex_functionals([ints[i * dim:(i + 1) * dim] for i in range(len(fam))])
+    if simplex is None:
+        return None
+    rows, k = simplex
+    return [[s * v for v in r[:dim]] + [r[dim]] for r in rows], k
 
 
 def explicit_relint_intersection(fams, dim):
@@ -231,7 +357,7 @@ def explicit_relint_intersection(fams, dim):
             row = [Q(0)] * total
             row[off + j] = Q(-1)
             strict.append((row, Q(0)))
-    res = strict_feasible(StrictLinearSystem.build(total, equalities, (), strict))
+    res = solve_rational(RationalSystem.build(total, equalities, (), strict))
     if not res.feasible:
         return res
     w = res.witness
@@ -399,7 +525,7 @@ def reference_positive_relation(generators):
     dim = len(gens[0]) if gens else 0
     equalities = [([g[c] for g in gens], 0) for c in range(dim)]
     weak = [([-int(j == i) for j in range(m)], -1) for i in range(m)]
-    res = strict_feasible(StrictLinearSystem.build(m, equalities, weak, ()))
+    res = solve_rational(RationalSystem.build(m, equalities, weak, ()))
     if not res.feasible:
         raise NotComplete("generators admit no positive zero-sum relation")
     return tuple(make_primitive(clear_denominators(res.witness)[0]))
@@ -497,7 +623,7 @@ def reference_strict_feasible(sys):
     nx = dim + 2
     t_col = dim + 1
     raw = []
-    for a, b in sys.equalities:
+    for a, b in getattr(sys, "equalities", ()):  # none in a StrictLinearSystem
         raw.append(([*a, -sum(a, Q(0)), Q(0)], b, "eq"))
     for a, b in sys.weak:
         raw.append(([*a, -sum(a, Q(0)), Q(0)], b, "le"))
@@ -573,7 +699,7 @@ def simplex_strict_system(families, dim):
     nonsingular full simplex."""
     if any(len(fam) != dim + 1 for fam in families):
         return None
-    simplices = [_simplex_functionals([tuple(map(Q, p)) for p in fam]) for fam in families]
+    simplices = [rational_simplex_functionals(fam) for fam in families]
     if None in simplices:
         return None
     strict = []
@@ -585,7 +711,7 @@ def simplex_strict_system(families, dim):
             if key not in seen:
                 seen.add(key)
                 strict.append((key[:dim], key[dim]))
-    return StrictLinearSystem.build(dim, (), (), strict), simplices
+    return StrictLinearSystem.build(dim, (), strict), simplices
 
 
 def reference_relint_intersection(families, dimension=None):
@@ -619,24 +745,21 @@ def reference_relint_of_simplices(simplices, dim):
     active = {own[0] for own in members}
     while True:
         res = strict_feasible(StrictLinearSystem.build(
-            dim, (), (), [rows[i] for i in sorted(active)]))
+            dim, (), [rows[i] for i in sorted(active)]))
         if not res.feasible:
             return res
-        xs, scale = clear_denominators(res.witness)
+        xs, scale = res.witness
         margins = [b * scale - sum(map(mul, a, xs)) for a, b in rows]
         worst = {min(own, key=lambda i: (margins[i], i)) for own in members}
         violated = {i for i in worst if margins[i] <= 0}
         if not violated:
             break
         active |= violated
-    # lambda_j = factor * (r . (xs, scale)) / scale, one Fraction each
-    bary = tuple(
-        tuple(Q(factor.numerator * (sum(map(mul, r, xs)) + r[dim] * scale),
-                factor.denominator * scale)
-              for r in fam_rows)
-        for fam_rows, factor in simplices)
-    slack = Q(min(margins), scale) if rows else res.slack
-    return FeasibilityResult(True, res.witness, slack, bary)
+    # lambda_j = (r . (xs, scale)) / (k * scale), one Fraction each
+    bary = tuple(tuple(Q(sum(map(mul, r, xs)) + r[dim] * scale, k * scale) for r in fam_rows)
+                 for fam_rows, k in simplices)
+    slack = Q(min(margins), scale) if rows else Q(*res.slack)
+    return FeasibilityResult(True, fractions_of(res.witness), slack, bary)
 
 
 def solve_strict_system(sys, simplices, dim):
@@ -645,11 +768,11 @@ def solve_strict_system(sys, simplices, dim):
     res = strict_feasible(sys)
     if not res.feasible:
         return res
-    xs, scale = clear_denominators(res.witness)
-    bary = tuple(tuple(factor * Q(sum(r[c] * xs[c] for c in range(dim)) + r[dim] * scale, scale)
+    xs, scale = res.witness
+    bary = tuple(tuple(Q(sum(r[c] * xs[c] for c in range(dim)) + r[dim] * scale, k * scale)
                        for r in rows)
-                 for rows, factor in simplices)
-    return FeasibilityResult(True, res.witness, res.slack, bary)
+                 for rows, k in simplices)
+    return FeasibilityResult(True, fractions_of(res.witness), Q(*res.slack), bary)
 
 
 def margins(sys, x):
@@ -729,9 +852,9 @@ def check_shephard_against_reference(obj):
     assert ok == ref.feasible, f"Shephard verdict {ok} differs from the reference's"
     if ok:
         bary = tuple(cert.barycentric[tuple(sorted(f))] for f in facets)
-        assert_relint_certificate(families, dim,
-                                  FeasibilityResult(True, cert.point, cert.slack, bary),
-                                  None if full is None else full[0])
+        assert_relint_certificate(
+            families, dim, as_fractions(FeasibilityResult(True, cert.point, cert.slack, bary)),
+            None if full is None else full[0])
     return ok
 
 
@@ -820,22 +943,22 @@ def reference_s_sigma(diagram, facets):
 
 
 def _reference_certificate(res, facets):
+    """The certificate of a relint_intersection result in Fractions, with
+    the library's (numerators, den) pairs."""
     if not res.feasible:
         return PolytopalityCertificate(kind="empty-witness")
-    bary = {tuple(sorted(f)): lam for f, lam in zip(facets, res.barycentric)}
-    return PolytopalityCertificate(
-        kind="interior-point", point=res.witness, barycentric=bary, slack=res.slack)
+    bary = {tuple(sorted(f)): as_pairs(lam) for f, lam in zip(facets, res.barycentric)}
+    return PolytopalityCertificate(kind="interior-point", point=as_pairs(res.witness),
+                                   barycentric=bary,
+                                   slack=(res.slack.numerator, res.slack.denominator))
 
 
 def _same_functionals(a, b) -> bool:
-    """Whether two (rows, factor) simplices give the same functionals as
-    rationals: factor_a * row_a == factor_b * row_b, cross-multiplied in
-    integers."""
-    (rows_a, fa), (rows_b, fb) = a, b
-    ka = fa.numerator * fb.denominator
-    kb = fb.numerator * fa.denominator
+    """Whether two (rows, k) simplices give the same functionals as
+    rationals: row_a / k_a == row_b / k_b, cross-multiplied in integers."""
+    (rows_a, ka), (rows_b, kb) = a, b
     return len(rows_a) == len(rows_b) and all(
-        len(ra) == len(rb) and all(x * ka == y * kb for x, y in zip(ra, rb))
+        len(ra) == len(rb) and all(x * kb == y * ka for x, y in zip(ra, rb))
         for ra, rb in zip(rows_a, rows_b))
 
 
@@ -864,7 +987,8 @@ def check_facet_table_against_reference(obj):
     for simplex, want in zip(gale, wants):
         assert _same_functionals(simplex, want), "coface functionals differ"
         compared += len(want[0])
-    ref = _reference_certificate(_relint_of_simplices(wants, diagram.ambient_dim), facets)
+    ref = _reference_certificate(
+        as_fractions(_relint_of_simplices(wants, diagram.ambient_dim)), facets)
     assert cert == ref, "Shephard certificate differs from the reference's"
     return compared
 
@@ -881,7 +1005,7 @@ def fourier_motzkin_feasible(system) -> bool:
     since every later row set still implies it.
     """
     rows = []
-    for a, b in system.equalities:
+    for a, b in getattr(system, "equalities", ()):  # none in a StrictLinearSystem
         rows.append(_primitive(list(a), b, False))
         rows.append(_primitive([-c for c in a], -b, False))
     for a, b in system.weak:

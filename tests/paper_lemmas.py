@@ -13,16 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from toricwedge.exactmath import (
-    InvariantViolation,
-    _simplex_functionals,
-    clear_denominators,
-    kernel_basis,
-)
+from toricwedge.exactmath import InvariantViolation, kernel_basis
 from toricwedge.planefan import NoOppositeRay
 from toricwedge.shephard import ShephardDiagram, prepare, s_sigma, shephard_diagram
 from toricwedge.wedgepuzzle import CharMatrix, WedgeSignature, build_complex
-from oracles import NotWedged, _qvec, relint_intersection
+from oracles import (
+    NotWedged,
+    _qvec,
+    clear_denominators,
+    fractions_of,
+    rational_simplex_functionals,
+    relint_intersection,
+)
 
 Q = Fraction
 
@@ -43,7 +45,7 @@ def point_in_relint(point, family) -> bool:
     point = _qvec(point)
     fam = [_qvec(p) for p in family]
     dim = len(point)
-    simplex = _simplex_functionals(fam) if len(fam) == dim + 1 else None
+    simplex = rational_simplex_functionals(fam) if len(fam) == dim + 1 else None
     if simplex is not None:
         rows, _ = simplex
         return all(sum((r[c] * point[c] for c in range(dim)), Q(0)) + r[dim] > 0
@@ -129,6 +131,6 @@ def verify_wedge_shephard(mat: CharMatrix, color: int = 1) -> bool:
         return False
     if full.kind == "interior-point":
         for fam in fams_1 + fams_2:
-            if not point_in_relint(full.point, fam):
+            if not point_in_relint(fractions_of(full.point), fam):
                 return False
     return True

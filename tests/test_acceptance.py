@@ -23,7 +23,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from toricwedge.exactmath import StrictLinearSystem, strict_feasible
 from toricwedge.planefan import (
     PlaneFan,
     blow_down_positions,
@@ -57,10 +56,12 @@ from toricwedge.wedgepuzzle import (
 )
 from oracles import (
     QMatrix,
+    RationalSystem,
     check_facet_table_against_reference,
     check_nonsingular,
     check_shephard_against_reference,
     fourier_motzkin_feasible,
+    fractions_of,
     gj_cubes,
     gj_squares,
     is_zero,
@@ -69,6 +70,7 @@ from oracles import (
     project_to_vertex,
     rank,
     relint_intersection,
+    solve_rational,
     verify_result,
 )
 from paper_lemmas import h_value, point_in_relint, radon_data, verify_wedge_shephard
@@ -89,8 +91,7 @@ def pentagon_facets():
 
 def paper_diagram(d):
     labels = (1, 2, 3, 4, 5)
-    pts = {1: (Q(1), Q(-d)), 2: (Q(-2), Q(2)), 3: (Q(2), Q(0)),
-           4: (Q(0), Q(0)), 5: (Q(0), Q(1))}
+    pts = {1: (1, -d), 2: (-2, 2), 3: (2, 0), 4: (0, 0), 5: (0, 1)}
     weights = {1: 2, 2: 1, 3: 1, 4: 2 * d + 1, 5: 2}
     gens = {i + 1: pentagon(d).rays[i] for i in range(5)}
     return ShephardDiagram(labels, pts, weights, gens, 2)
@@ -179,7 +180,8 @@ def test_criterion_1_worked_example_replay():
         assert cert.kind == "interior-point", f"S empty for d={d}"
         for facet in pentagon_facets():
             fam = [diag.points[lab] for lab in sorted(coface_indices(diag, facet))]
-            assert point_in_relint(cert.point, fam), f"witness fails coface {facet}"
+            assert point_in_relint(fractions_of(cert.point), fam), \
+                f"witness fails coface {facet}"
     elapsed = time.perf_counter() - t0
     report(1, elapsed < 1.0,
            f"A.B = O and S nonempty with re-verified witness for d=0..10 "
@@ -278,7 +280,7 @@ def test_criterion_5_wedge_shephard_proposition(sweep):
                         for lab in sorted(set(small_cx.labels) - set(facet)):
                             big = (1, 3 - copy) if lab == (1, 1) else lab
                             fam.append(diag.points[big])
-                        assert point_in_relint(cert.point, fam)
+                        assert point_in_relint(fractions_of(cert.point), fam)
                 reverified += 1
     report(5, checked > 0,
            f"verify_wedge_shephard true on all {checked} instances with "
@@ -433,13 +435,13 @@ def test_criterion_8_lp_fourier_motzkin_agreement():
         def row():
             return ([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-5, 5))
 
-        sys_ = StrictLinearSystem.build(
+        sys_ = RationalSystem.build(
             dim,
             equalities=[row() for _ in range(n_eq)],
             weak=[row() for _ in range(n_weak)],
             strict=[row() for _ in range(n_strict)],
         )
-        res = strict_feasible(sys_)
+        res = solve_rational(sys_)
         assert res.feasible == fourier_motzkin_feasible(sys_), \
             f"oracle disagreement on trial {trial}"
         if res.feasible:

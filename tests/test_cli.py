@@ -157,6 +157,37 @@ class TestClassify:
         assert run_cli(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_pool_never_outnumbers_the_classes(self, tmp_path, monkeypatch):
+        # the square at depth 2 has 3 classes: --workers 64 asks the pool
+        # for 3 processes and --workers 2 for 2.  The fake pool records the
+        # count and runs imap in this process, and the bytes are those of
+        # one worker
+        import multiprocessing
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        argv = ["classify", "--m", "4", "--j", "1,1,1,1", "--base-depth", "2",
+                "--e-bound", "2", "--out"]
+        outs = {w: tmp_path / f"{w}.json" for w in ("1", "2", "64")}
+        for w, out in outs.items():
+            assert run_cli(argv + [str(out), "--workers", w]) == 0
+        assert sizes == [2, 3]
+        assert json.loads(outs["1"].read_text())["classes"] == 3
+        assert outs["2"].read_bytes() == outs["64"].read_bytes() == outs["1"].read_bytes()
+
     def test_no_classes_prints_the_whole_document(self, capsys):
         # the records are written piece by piece after the header, and an
         # empty list must still read as json.dumps gives it
@@ -511,7 +542,10 @@ FACET_TABLE_FAILURES = {
                        "some facet minor is not +-1"),
     "duplicate label": (columns(2, [("1_1", [1, 0]), ("1_1", [0, 1]), ("2_1", [0, 1]),
                                     ("3_1", [-1, -1])]),
-                        "matrix labels do not match the complex"),
+                        "column label '1_1' repeats"),
+    # the labels alone would read as the signature m=3, J=(2, 0, 1)
+    "repeated label": (columns(2, [("1_1", [1, 0]), ("1_1", [0, 1]), ("3_1", [-1, -1])]),
+                       "column label '1_1' repeats"),
     "label gap": (columns(3, [("1_1", [1, 0, -1]), ("1_3", [0, 0, 1]), ("2_1", [0, 1, 0]),
                               ("3_1", [-1, -1, 0])]),
                   "matrix labels do not match the complex"),

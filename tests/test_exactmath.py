@@ -17,7 +17,6 @@ from toricwedge.exactmath import (
     _optimal_tableau,
     _rref,
     _simplex_functionals,
-    clear_denominators,
     integer_inverse,
     kernel_basis,
     make_primitive,
@@ -37,18 +36,24 @@ from toricwedge.shephard import (
 from toricwedge.wedgepuzzle import enumerate_puzzles, facet_table, signature
 from oracles import (
     _reference_rref,
+    RationalSystem,
+    as_fractions,
     assert_relint_certificate,
+    check_rational,
+    clear_denominators,
     coface_families,
     cofactor_matrix,
     EmptyFamily,
     QMatrix,
     fourier_motzkin_feasible,
+    fractions_of,
     grid_relint_intersection_2d,
     integer_adjugate,
     integer_det,
     NotSquare,
     margins,
     rank,
+    rational_simplex_functionals,
     reference_kernel_basis,
     reference_kernel_with_ones,
     reference_positive_relation,
@@ -58,6 +63,7 @@ from oracles import (
     reference_strict_feasible,
     relint_intersection,
     simplex_strict_system,
+    solve_rational,
     verify_result,
 )
 
@@ -263,7 +269,7 @@ def criterion_8_systems(seed=271828, trials=500):
         def row():
             return ([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-5, 5))
 
-        yield StrictLinearSystem.build(
+        yield RationalSystem.build(
             dim,
             equalities=[row() for _ in range(n_eq)],
             weak=[row() for _ in range(n_weak)],
@@ -281,7 +287,7 @@ def rational_rows(dim, n):
 @st.composite
 def linear_systems(draw):
     dim = draw(st.integers(1, 4))
-    return StrictLinearSystem.build(
+    return RationalSystem.build(
         dim,
         equalities=draw(rational_rows(dim, 2)),
         weak=draw(rational_rows(dim, 3)),
@@ -324,13 +330,15 @@ class TestAgainstReferenceEngine:
     Fraction objective that it replaced: the whole result, witness and slack
     included, must be equal, on random systems and on every LP that certify
     solves from the first pivot on blown-up fans and on the golden classify
-    inputs (the warm Shephard rounds are checked in TestWarmStart)."""
+    inputs (the warm Shephard rounds are checked in TestWarmStart).  The
+    random systems have rational entries and equality rows, so they go
+    through check_rational: the whole results are compared on their integer
+    form, and the verdict and the witness on the system as drawn."""
 
     def test_criterion_8_systems(self):
         feasible = 0
         for sys in criterion_8_systems():
-            res = strict_feasible(sys)
-            assert res == reference_strict_feasible(sys)
+            res = check_rational(sys)
             feasible += res.feasible
         assert 50 < feasible < 450
 
@@ -344,20 +352,16 @@ class TestAgainstReferenceEngine:
         for _ in range(200):
             dim = rng.randint(1, 4)
             rows = lambda n: [([q() for _ in range(dim)], q()) for _ in range(n)]
-            sys = StrictLinearSystem.build(
+            sys = RationalSystem.build(
                 dim, rows(rng.randint(0, 1)), rows(rng.randint(0, 3)), rows(rng.randint(1, 5)))
-            res = strict_feasible(sys)
-            assert res == reference_strict_feasible(sys)
-            assert verify_result(sys, res)
+            res = check_rational(sys)
             feasible += res.feasible
         assert 20 < feasible < 180
 
     @settings(max_examples=200, deadline=None)
     @given(linear_systems())
     def test_hypothesis_systems(self, sys):
-        res = strict_feasible(sys)
-        assert res == reference_strict_feasible(sys)
-        assert verify_result(sys, res)
+        check_rational(sys)
 
     @staticmethod
     def certify_lps(objs, monkeypatch):
@@ -382,14 +386,14 @@ class TestAgainstReferenceEngine:
         systems = self.certify_lps(fans, monkeypatch)
         assert len(systems) == 3 * len(fans)
         for sys in systems:
-            assert strict_feasible(sys) == reference_strict_feasible(sys)
+            assert as_fractions(strict_feasible(sys)) == reference_strict_feasible(sys)
 
     def test_certify_lps_of_golden_classify(self, monkeypatch):
         puzzles = golden_puzzles()
         systems = self.certify_lps([p.matrix for p in puzzles], monkeypatch)
         assert len(systems) == 3 * len(puzzles)
         for sys in systems:
-            assert strict_feasible(sys) == reference_strict_feasible(sys)
+            assert as_fractions(strict_feasible(sys)) == reference_strict_feasible(sys)
 
     @staticmethod
     def drive_out_trace(sys, monkeypatch):
@@ -415,29 +419,23 @@ class TestAgainstReferenceEngine:
         monkeypatch.setattr(_Simplex, "pivot", traced_pivot)
         res = strict_feasible(sys)
         monkeypatch.undo()
-        assert res == reference_strict_feasible(sys)
+        assert as_fractions(res) == reference_strict_feasible(sys)
         return res, calls
 
-    def test_drive_out_drops_redundant_equality(self, monkeypatch):
-        # x = 1 and 2x = 2: one artificial stays basic at zero, its row goes
-        sys = StrictLinearSystem.build(1, [([1], 1), ([2], 2)], (), [([-1], 0)])
-        res, calls = self.drive_out_trace(sys, monkeypatch)
-        assert res.feasible and res.witness == (1,)
-        assert calls == [[4, 3, []]]
-
     def test_drive_out_negative_pivot(self, monkeypatch):
-        # -x = 0 with -x <= 0: the equality's artificial is driven out at
-        # zero on the entry -1, which pivot negates with its row
-        sys = StrictLinearSystem.build(1, [([-1], 0)], [([-1], 0)], [([0], 1)])
+        # x = 1 as -x <= -1 and x <= 1: the flipped row's artificial is
+        # driven out at zero on the entry -1, which pivot negates with its
+        # row, and every row stays
+        sys = StrictLinearSystem.build(1, [([-1], -1), ([1], 1)], [([0], 1)])
         res, calls = self.drive_out_trace(sys, monkeypatch)
-        assert res.feasible and res.witness == (0,)
+        assert res.feasible and res.witness == ((1,), 1)
         assert calls == [[4, 4, [False]]]
 
 
 class TestStrictFeasible:
     def test_open_interval(self):
         sys = StrictLinearSystem.build(1, strict=[([-1], 0), ([1], 1)])
-        res = strict_feasible(sys)
+        res = as_fractions(strict_feasible(sys))
         assert res.feasible
         assert 0 < res.witness[0] < 1
         assert verify_result(sys, res)
@@ -462,9 +460,9 @@ class TestStrictFeasible:
         assert l1 > 0 and l2 > 0 and l3 > 0
 
     def test_equalities_and_weak(self):
-        sys = StrictLinearSystem.build(
+        sys = RationalSystem.build(
             2, equalities=[([1, 1], 1)], weak=[([1, 0], Q(3, 4))], strict=[([-1, 0], 0)])
-        res = strict_feasible(sys)
+        res = solve_rational(sys)
         assert res.feasible
         assert verify_result(sys, res)
         assert res.witness[0] + res.witness[1] == 1
@@ -473,11 +471,21 @@ class TestStrictFeasible:
         with pytest.raises(DimensionMismatch):
             StrictLinearSystem.build(2, strict=[([1], 0)])
 
-    def test_integer_entries_stay_integers(self):
-        sys = StrictLinearSystem.build(2, strict=[([1, Q(1, 2)], 3), ([Q(4, 2), -1], 2.5)])
-        (a0, b0), (a1, b1) = sys.strict
-        assert [type(x) for x in (*a0, b0)] == [int, Fraction, int]
-        assert [type(x) for x in (*a1, b1)] == [Fraction, int, Fraction]
+    def test_only_integer_rows(self):
+        # a Fraction, a float or a bool anywhere in a row, weak or strict,
+        # and a row of the wrong length are refused
+        for bad in (Q(4, 2), 2.0, True):
+            for row in (([1, bad], 3), ([1, 2], bad)):
+                for kind in ("weak", "strict"):
+                    with pytest.raises(TypeError):
+                        StrictLinearSystem.build(2, **{kind: [([0, 1], 1), row]})
+        for kind in ("weak", "strict"):
+            with pytest.raises(DimensionMismatch):
+                StrictLinearSystem.build(2, **{kind: [([1, 2], 3), ([1, 2, 3], 4)]})
+        with pytest.raises(TypeError):
+            StrictLinearSystem(1, strict=(((Q(1),), 0),))
+        sys = StrictLinearSystem.build(2, [([1, 2], 3)], [([-1, 0], 0)])
+        assert sys == StrictLinearSystem(2, (((1, 2), 3),), (((-1, 0), 0),))
 
     def test_deterministic(self):
         sys = StrictLinearSystem.build(
@@ -498,13 +506,13 @@ class TestStrictFeasible:
             n_weak = rng.randint(0, 3)
             n_strict = rng.randint(1, 4)
             mk = lambda: ([rng.randint(-3, 3) for _ in range(dim)], rng.randint(-4, 4))
-            sys = StrictLinearSystem.build(
+            sys = RationalSystem.build(
                 dim,
                 equalities=[mk() for _ in range(n_eq)],
                 weak=[mk() for _ in range(n_weak)],
                 strict=[mk() for _ in range(n_strict)],
             )
-            res = strict_feasible(sys)
+            res = solve_rational(sys)
             assert res.feasible == fourier_motzkin_feasible(sys)
             if res.feasible:
                 assert verify_result(sys, res)
@@ -588,24 +596,24 @@ def simplex_around(rng, dim, centre, spread):
         ws = [rng.randint(1, 3) for _ in range(dim + 1)]
         v0 = [-Q(sum(w * v[c] for w, v in zip(ws[1:], vs)), ws[0]) for c in range(dim)]
         fam = [tuple(Q(centre[c]) + v[c] for c in range(dim)) for v in [v0] + vs]
-        if _simplex_functionals(fam) is not None:
+        if rational_simplex_functionals(fam) is not None:
             return fam
 
 
 def random_simplex(rng, dim, spread):
     while True:
         fam = [tuple(rng.randint(-spread, spread) for _ in range(dim)) for _ in range(dim + 1)]
-        if _simplex_functionals([tuple(map(Q, p)) for p in fam]) is not None:
+        if _simplex_functionals(fam) is not None:
             return fam
 
 
 def first_rows_feasible(families, dim):
     """Whether the LP that row generation starts from, the first functional
     of every family, is feasible."""
-    rows = [_simplex_functionals([tuple(map(Q, p)) for p in fam])[0][0] for fam in families]
+    rows = [rational_simplex_functionals(fam)[0][0] for fam in families]
     keys = [make_primitive([-v for v in r[:dim]] + [r[dim]]) for r in rows]
     return strict_feasible(StrictLinearSystem.build(
-        dim, (), (), [(k[:dim], k[dim]) for k in keys])).feasible
+        dim, (), [(k[:dim], k[dim]) for k in keys])).feasible
 
 
 def warm_rounds(simplices, dim):
@@ -629,7 +637,7 @@ def warm_rounds(simplices, dim):
 
     def restored(tab):
         ok = restore(tab)
-        feasible = ok and tab.value() > 0
+        feasible = ok and tab.value()[0] > 0
         rounds.append((tuple(rows), exactmath._witness(tab, dim) if feasible else None))
         return ok
 
@@ -653,20 +661,20 @@ def check_warm_start(simplices, dim, families, whole=None, engine=False):
     res, rounds = warm_rounds(simplices, dim)
     assert res.feasible == reference_relint_of_simplices(simplices, dim).feasible
     if res.feasible:
-        assert_relint_certificate(families, dim, res, whole)
+        assert_relint_certificate(families, dim, as_fractions(res), whole)
         assert res.witness == rounds[-1][1]
     else:
         assert res == FeasibilityResult(False)
         assert rounds[-1][1] is None
     assert all(witness is not None for _, witness in rounds[:-1])
     for rows, witness in rounds:
-        sys = StrictLinearSystem.build(dim, (), (), rows)
-        cold = strict_feasible(sys)
+        sys = StrictLinearSystem.build(dim, (), rows)
+        cold = as_fractions(strict_feasible(sys))
         if engine:
             assert cold == reference_strict_feasible(sys)
         assert cold.feasible == (witness is not None)
         if witness is not None:
-            assert min(1, min(margins(sys, witness))) == min(1, cold.slack)
+            assert min(1, min(margins(sys, fractions_of(witness)))) == min(1, cold.slack)
     return res, rounds
 
 
@@ -676,7 +684,7 @@ def check_row_generation(families, dim):
     re-verified against the whole strict system."""
     whole, simplices = simplex_strict_system(families, dim)
     res, _ = check_warm_start(simplices, dim, families, whole)
-    assert relint_intersection(families, dimension=dim) == res
+    assert relint_intersection(families, dimension=dim) == as_fractions(res)
     assert res.feasible == reference_relint_intersection(families, dim).feasible
     return res.feasible
 
@@ -752,7 +760,7 @@ class TestRowGeneration:
         res, rounds = warm_rounds(simplices, dim)
         sizes = [len(rows) for rows, _ in rounds]
         assert res.feasible
-        assert_relint_certificate(fams, dim, res, whole)
+        assert_relint_certificate(fams, dim, as_fractions(res), whole)
         assert sizes == sorted(set(sizes)) and sizes[0] <= len(fams)
         assert sizes[-1] < len(whole.strict)
 
@@ -809,8 +817,8 @@ class TestWarmStart:
     @staticmethod
     def tableau(strict):
         """The optimal tableau of one strict system in one variable."""
-        tab = _optimal_tableau(StrictLinearSystem.build(1, (), (), strict))
-        assert tab is not None and tab.value() > 0
+        tab = _optimal_tableau(StrictLinearSystem.build(1, (), strict))
+        assert tab is not None and tab.value()[0] > 0
         return tab
 
     def test_added_row_restored(self):
@@ -821,14 +829,14 @@ class TestWarmStart:
         assert min(row[-1] for row in tab.t) < 0
         assert tab.restore()
         assert min(row[-1] for row in tab.t) >= 0
-        assert tab.value() == Q(1, 3)
-        assert exactmath._witness(tab, 1) == (Q(2, 3),)
+        assert tab.value() == (1, 3)
+        assert exactmath._witness(tab, 1) == ((2,), 3)
 
     def test_added_rows_that_meet_at_t_zero(self):
         # x < 1 and x > 1: restored, with t = 0
         tab = self.tableau([([1], 1)])
         tab.add_row([-1, 1, 1], -1)
-        assert tab.restore() and tab.value() == 0
+        assert tab.restore() and tab.value() == (0, 1)
 
     def test_added_row_that_cannot_be_restored(self):
         # x < 1 and x > 2 with t >= 0: the dual is unbounded, and a row

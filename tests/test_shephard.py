@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricwedge import exactmath, shephard, wedgepuzzle
-from toricwedge.exactmath import (
-    DimensionMismatch,
-    InvariantViolation,
-    clear_denominators,
-    kernel_basis,
-)
+from toricwedge.exactmath import DimensionMismatch, InvariantViolation, kernel_basis
 from toricwedge.planefan import (
     NoOppositeRay,
     PlaneFan,
@@ -52,6 +47,8 @@ from oracles import (
     check_facet_table_against_reference,
     check_shephard_against_reference,
     check_tableaux_against_inverses,
+    clear_denominators,
+    fractions_of,
     is_zero,
     matmul,
     rank,
@@ -70,8 +67,7 @@ def pentagon(d):
 def paper_diagram(d):
     """The worked example's diagram, replayed verbatim as a fixture."""
     labels = (1, 2, 3, 4, 5)
-    pts = {1: (Q(1), Q(-d)), 2: (Q(-2), Q(2)), 3: (Q(2), Q(0)),
-           4: (Q(0), Q(0)), 5: (Q(0), Q(1))}
+    pts = {1: (1, -d), 2: (-2, 2), 3: (2, 0), 4: (0, 0), 5: (0, 1)}
     weights = {1: 2, 2: 1, 3: 1, 4: 2 * d + 1, 5: 2}
     gens = {i + 1: pentagon(d).rays[i] for i in range(5)}
     return ShephardDiagram(labels, pts, weights, gens, 2)
@@ -216,7 +212,7 @@ class TestSSigma:
             cert = s_sigma(paper_diagram(d), pentagon_table(paper_diagram(d)))
             assert cert.kind == "interior-point"
             if d == 2:
-                x, y = cert.point
+                x, y = fractions_of(cert.point)
                 (ax, ay), (bx, by), (cx, cy) = (Q(0), Q(0)), (Q(1, 3), Q(0)), (Q(0), Q(1))
                 det = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
                 l1 = ((bx - x) * (cy - y) - (cx - x) * (by - y)) / det
@@ -228,7 +224,7 @@ class TestSSigma:
         cert = s_sigma(diag, pentagon_table(diag))
         for facet in pentagon_facets():
             fam = [diag.points[lab] for lab in sorted(coface_indices(diag, facet))]
-            assert point_in_relint(cert.point, fam)
+            assert point_in_relint(fractions_of(cert.point), fam)
 
     def test_empty_intersection_detected(self):
         # the twisted triangulation is not regular, so its fan has no
@@ -245,7 +241,7 @@ class TestSSigma:
         prep = prepare(cp2_fan())
         cert = s_sigma(shephard_diagram(prep), prep.table)
         assert cert.kind == "interior-point"
-        assert cert.point == ()
+        assert cert.point == ((), 1)
 
 
 class TestOracles:
@@ -267,7 +263,8 @@ class TestOracles:
         for fan in enumerate_fans(5, 2):
             ok, cert = support_function_polytopal(prepare(fan))
             assert ok
-            h = cert.heights
+            hs, den = cert.heights
+            h = {lab: Q(v, den) for lab, v in hs.items()}
             m = fan.m
             # strict convexity across every wall, re-checked from scratch
             for i in range(1, m + 1):
@@ -429,7 +426,7 @@ class TestFacetTable:
         # move one point of the paper's diagram: the cofaces are still full
         # simplices, but no longer a Gale dual of the weighted generators
         diag = paper_diagram(2)
-        moved = ShephardDiagram(diag.labels, {**diag.points, 5: (Q(0), Q(2))},
+        moved = ShephardDiagram(diag.labels, {**diag.points, 5: (0, 2)},
                                 diag.weights, diag.generators, 2)
         table = pentagon_table(diag)
         assert s_sigma(diag, table) == reference_s_sigma(diag, pentagon_facets())
@@ -439,6 +436,16 @@ class TestFacetTable:
         prep = dataclasses.replace(prepare(pentagon(2)), weights=(1, 1, 1, 1, 1))
         with pytest.raises(InvariantViolation):
             s_sigma(shephard_diagram(prep), prep.table)
+
+    def test_non_integer_points_raise(self):
+        # the Gale functionals take integer points: the paper's points as
+        # Fractions of equal value, and a half-integer point, are refused
+        diag = paper_diagram(2)
+        table = pentagon_table(diag)
+        for pts in ({lab: tuple(map(Q, p)) for lab, p in diag.points.items()},
+                    {**diag.points, 5: (Q(1, 2), 1)}):
+            with pytest.raises(InvariantViolation):
+                s_sigma(dataclasses.replace(diag, points=pts), table)
 
     def test_paper_diagrams_match_reference(self):
         for d in range(6):
