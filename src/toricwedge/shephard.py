@@ -8,8 +8,8 @@ classical oracle asks instead for strictly convex piecewise-linear support
 heights.  Both run on the exact LP engine, so every verdict carries a
 re-checkable witness.  prepare validates an input once and returns what both
 oracles read: its labels, generators, positive relation and facet table,
-which serves the minor check, the support walls and, by Gale duality, the
-barycentric functionals of the cofaces.
+which serves the minor check, the positive relation (with no LP), the
+support walls and, by Gale duality, the barycentric functionals of cofaces.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class PolytopalityCertificate:
 class Prepared:
     """A validated input, as both oracles read it: the sorted labels, the
     generator of each label, the unimodular FacetTable of its maximal cones
-    and the positive-relation weights, one per label."""
+    and the positive-relation weights read off that table, one per label."""
 
     labels: tuple
     generators: dict
@@ -77,10 +77,10 @@ class Prepared:
 
 def prepare(obj) -> Prepared:
     """Validate a PlaneFan, or a CharMatrix over the complex of its
-    signature, once.  Raises FanError, LabelMismatch, DimensionMismatch (a
-    row count other than the facet size), SingularInput (a facet minor other
-    than +-1) or NotComplete (no positive relation: minors alone do not rule
-    out a non-complete fan)."""
+    signature, once, with no LP.  Raises FanError, LabelMismatch,
+    DimensionMismatch (a row count other than the facet size), SingularInput
+    (a facet minor other than +-1) or NotComplete (no facet cone holds -sum u:
+    minors alone do not rule out a non-complete fan)."""
     if isinstance(obj, PlaneFan):
         validate(obj.rays)
         m = obj.m
@@ -104,29 +104,28 @@ def prepare(obj) -> Prepared:
     table = facet_table(gens, facets)
     if not table.unimodular:
         raise SingularInput("some facet minor is not +-1")
-    return Prepared(labels, gens, table, positive_relation([gens[lab] for lab in labels]))
+    return Prepared(labels, gens, table, positive_relation(labels, table))
 
 
-def positive_relation(generators) -> tuple[int, ...]:
-    """Integer weights c_i >= 1 with sum c_i u_i = 0, primitive and deterministic.
+def positive_relation(labels, table: FacetTable) -> tuple[int, ...]:
+    """Integer weights c_i >= 1 with sum c_i u_i = 0, in label order, primitive.
 
-    The relations are c = K y over the integer kernel basis K of the
-    generator matrix, so the exact LP is {K y >= 1} in the m - rank
-    coordinates y.  An empty kernel or an infeasible LP means the generators
-    do not positively span, i.e. the fan is not complete.
+    Row k of a facet sigma's tableau W / den writes the u_j in sigma's
+    generators; with r_k its sum, -sum u = sum_k (-r_k / den) u_(sigma_k),
+    which lies in sigma's cone iff every r_k <= 0.  On the first such facet,
+    c = den - r_k on sigma's k-th label and den elsewhere: sum c_i u_i = 0 and
+    c >= den >= 1.  In a complete fan some facet qualifies, and c / den - 1
+    holds the coordinates of -sum u in the unique smallest cone containing it
+    (the cones meet in faces, and each cone's generators are independent), so
+    every qualifying facet gives the same c, a function of the fan alone.
+    Else the cones do not cover the space: NotComplete.
     """
-    gens = list(generators)
-    dim = len(gens[0]) if gens else 0
-    kern = kernel_basis([[g[c] for g in gens] for c in range(dim)], len(gens))
-    if not kern:
-        raise NotComplete("generators are linearly independent")
-    weak = [([-col[i] for col in kern], -1) for i in range(len(gens))]
-    res = strict_feasible(StrictLinearSystem.build(len(kern), weak))
-    if not res.feasible:
-        raise NotComplete("generators admit no positive zero-sum relation")
-    ys, _ = res.witness
-    return tuple(make_primitive(
-        [sum(col[i] * y for col, y in zip(kern, ys)) for i in range(len(gens))]))
+    for facet, (rows, den) in zip(table.facets, table.tableaux):
+        sums = [sum(row) for row in rows]
+        if max(sums) <= 0:
+            c = dict.fromkeys(labels, den) | {lab: den - s for lab, s in zip(facet, sums)}
+            return tuple(make_primitive([c[lab] for lab in labels]))
+    raise NotComplete("no facet cone holds minus the sum of the generators")
 
 
 def shephard_diagram(prep: Prepared) -> ShephardDiagram:

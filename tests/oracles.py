@@ -15,10 +15,11 @@ first pivot (reference_relint_of_simplices).  The integer kernel_basis is
 checked against reference_kernel_basis, a Fraction row reduction over a
 QMatrix; the diagram that shephard_diagram takes from it against
 reference_kernel_with_ones, the greedy rank loop that once built the
-diagram; and the positive relation over the kernel coordinates against
-reference_positive_relation, the LP over all m weights with one equality
-row per coordinate that it replaced.  Each facet
-tableau W / den of the facet table, reached by wall pivots, is checked by
+diagram; and the positive relation that prepare reads off the facet table
+against reference_positive_relation, the LP over all m weights with one
+equality row per coordinate, on the golden and sweep classes, where the two
+agree, and against its contract, check_positive_relation, everywhere.  Each
+facet tableau W / den of the facet table, reached by wall pivots, is checked by
 A_sigma . W = den * A, against one integer_det of its minor A_sigma and
 against reference_facet_inverses, the integer_inverse of every facet that
 the table took before the walk, and its walls against reference_walls, the
@@ -518,8 +519,10 @@ def reference_kernel_with_ones(m):
 
 
 def reference_positive_relation(generators):
-    """positive_relation by the LP over all m weights: {c_i >= 1, sum c_i u_i
-    = 0}, with one equality row per coordinate."""
+    """A positive relation by the LP over all m weights: {c_i >= 1,
+    sum c_i u_i = 0}, with one equality row per coordinate.  It follows
+    Bland's path, so on some fans it is another relation than the one
+    positive_relation reads off the facet table."""
     gens = list(generators)
     m = len(gens)
     dim = len(gens[0]) if gens else 0
@@ -529,6 +532,15 @@ def reference_positive_relation(generators):
     if not res.feasible:
         raise NotComplete("generators admit no positive zero-sum relation")
     return tuple(make_primitive(clear_denominators(res.witness)[0]))
+
+
+def check_positive_relation(prep):
+    """Assert the contract of prep.weights: one weight per label, every
+    weight >= 1, gcd 1 and sum c_i u_i = 0."""
+    c = prep.weights
+    gens = [prep.generators[lab] for lab in prep.labels]
+    assert len(c) == len(gens) and min(c) >= 1 and gcd(*c) == 1, c
+    assert not any(sum(w * g[r] for w, g in zip(c, gens)) for r in range(len(gens[0]))), c
 
 
 def _reference_clear_denominators(values):

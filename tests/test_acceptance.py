@@ -69,6 +69,7 @@ from oracles import (
     multiset_enumerate_puzzles_keyed,
     project_to_vertex,
     rank,
+    reference_positive_relation,
     relint_intersection,
     solve_rational,
     verify_result,
@@ -398,6 +399,22 @@ def test_sweep_facet_tables_match_reference(sweep_references):
     n, covered, failures = sweep_references["facet"]
     assert not failures, failures[:5]
     assert n > 0 and len(covered) == 175
+
+
+@pytest.mark.slow
+def test_sweep_weights_match_reference(sweep):
+    """On every sweep class, the positive relation that prepare reads off
+    the facet table is the one the LP over all m weights gives."""
+    per_sig, _ = sweep
+    n = 0
+    for sig, records in per_sig.items():
+        for rec in records:
+            prep = prepare(rec["puzzle"].matrix)
+            gens = [prep.generators[lab] for lab in prep.labels]
+            assert prep.weights == reference_positive_relation(gens), \
+                f"weights differ from the reference over {sig}"
+            n += 1
+    assert n == 22444
 
 
 # signatures with two or more wedged colours, compared at shift bound 5 too

@@ -17,8 +17,15 @@ import toricwedge
 from toricwedge import shephard, wedgepuzzle
 from toricwedge.cli import main
 from toricwedge.exactmath import InvariantViolation
-from toricwedge.planefan import enumerate_fans
-from toricwedge.wedgepuzzle import assemble_matrix, enumerate_puzzles, matrix_to_dict, signature
+from toricwedge.planefan import enumerate_fans, fan_from_dict
+from toricwedge.wedgepuzzle import (
+    assemble_matrix,
+    enumerate_puzzles,
+    matrix_from_dict,
+    matrix_to_dict,
+    signature,
+)
+from oracles import check_positive_relation
 
 SRC = str(Path(toricwedge.__file__).resolve().parents[1])
 
@@ -467,6 +474,19 @@ def test_drawn_inputs_keep_exit_contract(data):
         assert codes["shephard"] == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(drawn_matrices(), perturbed_valid_inputs()))
+def test_drawn_weights_are_a_positive_relation(data):
+    # every drawn input that passes prepare gets weights >= 1, primitive,
+    # with sum c_i u_i = 0
+    try:
+        prep = shephard.prepare(fan_from_dict(data) if "rays" in data
+                                else matrix_from_dict(data))
+    except ValueError:
+        return
+    check_positive_relation(prep)
+
+
 MALFORMED_INPUTS = ['"rays"', '{"rays": 5}', '{"cols": 5}', 'null', '{"n": 0, "cols": []}',
                     '{"n": 3, "cols": [{"label": "0_1", "v": [1, 0, 0]},'
                     ' {"label": "1_1", "v": [0, 1, 0]}]}',
@@ -549,6 +569,15 @@ FACET_TABLE_FAILURES = {
     "label gap": (columns(3, [("1_1", [1, 0, -1]), ("1_3", [0, 0, 1]), ("2_1", [0, 1, 0]),
                               ("3_1", [-1, -1, 0])]),
                   "matrix labels do not match the complex"),
+    # unimodular minors, but no facet cone holds -sum u: the rays span a
+    # half-plane, or the repeated ray (-1,0) folds the cones of the pentagon
+    # over each other; the second has a positive relation, so only the
+    # facet scan tells that the cones do not form a fan
+    "half-plane": (columns(2, [("1_1", [1, 0]), ("2_1", [0, 1]), ("3_1", [-1, 1])]),
+                   "no facet cone holds minus the sum of the generators"),
+    "repeated ray": (columns(2, [("1_1", [-1, 0]), ("2_1", [0, 1]), ("3_1", [-1, -1]),
+                                 ("4_1", [-1, 0]), ("5_1", [2, -1])]),
+                     "no facet cone holds minus the sum of the generators"),
     # three rows over a triangle, whose facets have two columns: prepare
     # names the row count before any facet matrix is built
     "wrong facet size": (columns(3, [("1_1", [1, 0, 0]), ("2_1", [0, 1, 0]),

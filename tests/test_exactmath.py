@@ -29,7 +29,6 @@ from toricwedge.shephard import (
     certify,
     coface_indices,
     is_strongly_polytopal,
-    positive_relation,
     prepare,
     shephard_diagram,
 )
@@ -39,6 +38,7 @@ from oracles import (
     RationalSystem,
     as_fractions,
     assert_relint_certificate,
+    check_positive_relation,
     check_rational,
     clear_denominators,
     coface_families,
@@ -236,24 +236,60 @@ class TestKernelWithOnes:
 
 
 class TestPositiveRelationAgainstReference:
-    """positive_relation over the kernel coordinates gives the same weights
-    as the LP over all m weights that it replaced."""
+    """The positive relation that prepare reads off the facet table gives
+    the weights of the LP over all m weights on every golden puzzle and on
+    the pentagon family.  Elsewhere the LP's weights follow Bland's path and
+    so the labelling (17 of the 32 blown-up fans differ), and the relation
+    is checked against its contract and for invariance instead."""
 
-    def test_golden_puzzles_and_blown_up_fans(self):
-        for obj in [p.matrix for p in golden_puzzles()] + blown_up_fans():
-            prep = prepare(obj)
+    def test_golden_puzzles(self):
+        puzzles = golden_puzzles()
+        assert len(puzzles) == 65
+        for p in puzzles:
+            prep = prepare(p.matrix)
             gens = [prep.generators[lab] for lab in prep.labels]
             assert prep.weights == reference_positive_relation(gens)
 
     def test_pentagon_family(self):
         for d in range(-3, 8):
             rays = ((1, 0), (0, 1), (-1, 1), (-1, 0), (d, -1))
-            assert positive_relation(rays) == reference_positive_relation(rays)
+            assert prepare(PlaneFan(rays)).weights == reference_positive_relation(rays)
 
-    def test_48_ray_fan(self):
-        for k in (0, 24):
-            rays = fan_48(k).rays
-            assert positive_relation(rays) == reference_positive_relation(rays)
+    def test_blown_up_fans_satisfy_the_contract(self):
+        for fan in blown_up_fans():
+            check_positive_relation(prepare(fan))
+
+
+def rotated(fan, k):
+    return PlaneFan(fan.rays[k:] + fan.rays[:k])
+
+
+def reflected(fan):
+    """The mirror image in the line x = y, still counter-clockwise: ray i
+    becomes ray m - 1 - i."""
+    return PlaneFan(tuple((y, x) for x, y in reversed(fan.rays)))
+
+
+class TestPositiveRelationInvariance:
+    """Relabelling a fan's rays permutes its weights: the relation is a
+    function of the fan, not of the order of its rays."""
+
+    @staticmethod
+    def check_relabellings(fan, shifts):
+        c = prepare(fan).weights
+        for k in shifts:
+            assert prepare(rotated(fan, k)).weights == c[k:] + c[:k]
+        assert prepare(reflected(fan)).weights == c[::-1]
+
+    def test_blown_up_fans(self):
+        for fan in blown_up_fans():
+            self.check_relabellings(fan, (1, fan.m // 2))
+
+    def test_large_fans(self):
+        # fan_48(24) and large_fan(64, 32): the LP over the kernel
+        # coordinates gave other weights than the rotated ones
+        for fan in (fan_48(0), large_fan(64, 0)):
+            self.check_relabellings(fan, (fan.m // 2,))
 
 
 def criterion_8_systems(seed=271828, trials=500):
@@ -309,14 +345,18 @@ def blown_up_fans():
     return fans
 
 
-def fan_48(k):
-    """hirzebruch_fan(1) blown up to 48 rays at seeded positions, labelled
+def large_fan(m, k):
+    """hirzebruch_fan(1) blown up to m rays at seeded positions, labelled
     from ray k."""
     rng = random.Random(7)
     fan = hirzebruch_fan(1)
-    while fan.m < 48:
+    while fan.m < m:
         fan = blow_up(fan, rng.randrange(fan.m))
-    return PlaneFan(fan.rays[k:] + fan.rays[:k])
+    return rotated(fan, k)
+
+
+def fan_48(k):
+    return large_fan(48, k)
 
 
 def golden_puzzles():
@@ -366,8 +406,9 @@ class TestAgainstReferenceEngine:
     @staticmethod
     def certify_lps(objs, monkeypatch):
         """Every system that certify solves from the first pivot on objs:
-        the positive relation, the first Shephard round and the support LP.
-        The later Shephard rounds are warm (TestWarmStart)."""
+        the first Shephard round and the support LP, two per object, since
+        prepare reads the positive relation off the facet table.  The later
+        Shephard rounds are warm (TestWarmStart)."""
         systems = []
         solve = exactmath._optimal_tableau
 
@@ -384,14 +425,14 @@ class TestAgainstReferenceEngine:
     def test_certify_lps_of_blown_up_fans(self, monkeypatch):
         fans = blown_up_fans()
         systems = self.certify_lps(fans, monkeypatch)
-        assert len(systems) == 3 * len(fans)
+        assert len(systems) == 2 * len(fans)
         for sys in systems:
             assert as_fractions(strict_feasible(sys)) == reference_strict_feasible(sys)
 
     def test_certify_lps_of_golden_classify(self, monkeypatch):
         puzzles = golden_puzzles()
         systems = self.certify_lps([p.matrix for p in puzzles], monkeypatch)
-        assert len(systems) == 3 * len(puzzles)
+        assert len(systems) == 2 * len(puzzles)
         for sys in systems:
             assert as_fractions(strict_feasible(sys)) == reference_strict_feasible(sys)
 

@@ -72,8 +72,8 @@ GOLDEN_INPUT = {
 # on its 837 pool fans
 GOLDEN_CORPUS = {
     "classify": "231bc0242a3dbdcdc54e9377e47406208212ace67186f346e587ece04fb72066",
-    "check": "9ab36fda48944db918d327b8f87f8917d0fe6b790275371d1e2224c0d92e4e54",
-    "shephard": "051b7b0afbf2a764e0fb8231688104930e2b2ea300bc071efc052fa7bafb7cfb",
+    "check": "6da7d12a960be106bb01498c50c72923314bca9c9e95dcea7c82ee97f46063ff",
+    "shephard": "4bf98779e718739981eac6ec8c742f42254a7e5ad393af7daaf804168e32eae0",
 }
 
 

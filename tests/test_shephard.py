@@ -45,6 +45,7 @@ from toricwedge.wedgepuzzle import (
 from oracles import (
     QMatrix,
     check_facet_table_against_reference,
+    check_positive_relation,
     check_shephard_against_reference,
     check_tableaux_against_inverses,
     clear_denominators,
@@ -102,8 +103,8 @@ def nested_triangles_fan(triangles):
     facets = [frozenset(t) for t in triangles] + \
         [frozenset({7, i, j}) for i, j in ((1, 2), (2, 3), (1, 3))]
     labels = tuple(gens)
-    return Prepared(labels, gens, facet_table(gens, facets),
-                    positive_relation([gens[lab] for lab in labels]))
+    table = facet_table(gens, facets)
+    return Prepared(labels, gens, table, positive_relation(labels, table))
 
 
 def single_wedge_puzzle(base, color, e):
@@ -114,23 +115,17 @@ def single_wedge_puzzle(base, color, e):
 
 class TestPositiveRelation:
     def test_cp1_times_cp1(self):
-        rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-        assert positive_relation(rays) == (1, 1, 1, 1)
+        rays = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        assert prepare(PlaneFan(rays)).weights == (1, 1, 1, 1)
 
     def test_pentagon_contract(self):
-        # the relation is not unique; the contract is a primitive integer
-        # zero-sum with every weight >= 1
-        from math import gcd
+        # the contract is a primitive integer zero-sum with every weight >= 1.
+        # -sum u = (1 - d, -1) is (2d - 1) u_4 + u_5 for d >= 1 and u_5 + u_1
+        # for d = 0, and c - 1 holds those coordinates
         for d in range(4):
-            c = positive_relation(pentagon(d).rays)
-            assert all(w >= 1 for w in c)
-            g = 0
-            for w in c:
-                g = gcd(g, w)
-            assert g == 1
-            sx = sum(w * v[0] for w, v in zip(c, pentagon(d).rays))
-            sy = sum(w * v[1] for w, v in zip(c, pentagon(d).rays))
-            assert (sx, sy) == (0, 0)
+            prep = prepare(pentagon(d))
+            check_positive_relation(prep)
+            assert prep.weights == ((1, 1, 1, 2 * d, 2) if d else (2, 1, 1, 1, 2))
 
     def test_paper_weights_are_also_a_valid_relation(self):
         for d in range(4):
@@ -140,19 +135,22 @@ class TestPositiveRelation:
             assert (sx, sy) == (0, 0)
 
     def test_incomplete_rejected(self):
-        with pytest.raises(NotComplete):
-            positive_relation([(1, 0), (0, 1), (1, 1)])
-        # a trivial kernel: no relation at all
-        with pytest.raises(NotComplete):
-            positive_relation([(1, 0), (0, 1)])
+        # unimodular minors and a positive relation, but the repeated ray
+        # (-1,0) folds the cones of the pentagon over each other, and no
+        # facet cone holds -sum u (the half-plane case is in TestOracles)
+        cols = ((-1, 0, -1, -1, 2), (0, 1, -1, 0, -1))
+        with pytest.raises(NotComplete, match="no facet cone holds"):
+            prepare(CharMatrix(tuple((i, 1) for i in range(1, 6)), cols))
 
     def test_assembled_wedge_always_feasible(self):
-        mat = assemble_matrix(single_wedge_puzzle(pentagon(2), 1, 1))
-        cols = [mat.column(lab) for lab in mat.labels]
-        c = positive_relation(cols)
-        assert all(w >= 1 for w in c)
-        for coord in range(3):
-            assert sum(w * v[coord] for w, v in zip(c, cols)) == 0
+        check_positive_relation(prepare(assemble_matrix(single_wedge_puzzle(pentagon(2), 1, 1))))
+
+    def test_whole_pool(self):
+        # every 10-ray fan of the check-fan pool
+        pool = ten_ray_pool()
+        assert len(pool) == 837
+        for fan in pool:
+            check_positive_relation(prepare(fan))
 
 
 class TestShephardDiagram:
@@ -297,32 +295,37 @@ class TestOracles:
 
     def test_certify_prepares_once(self, monkeypatch):
         # one certify builds one facet table, which the minor check, the
-        # coface functionals and the support walls all read, and solves one
-        # positive-relation LP, the only LP of the two oracles with weak rows.
-        # It inverts two matrices: the first facet's, where the wall walk
-        # starts, and the reference coface's
-        tables = []
-        weak_lps = []
-        inverses = []
-        counted = (lambda m, real=exactmath.integer_inverse:
-                   inverses.append(m) or real(m))
+        # coface functionals, the support walls and the positive relation all
+        # read.  It solves two LPs, one strict_feasible for the support
+        # oracle and one _relint_of_simplices for the Shephard oracle, and
+        # prepare solves none.  It inverts two matrices: the first facet's,
+        # where the wall walk starts, and the reference coface's
+        calls = {name: [] for name in ("facet_table", "strict_feasible",
+                                       "_relint_of_simplices", "integer_inverse",
+                                       "_optimal_tableau")}
+
+        def counted(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: calls[name].append(args) or real(*args))
+
         for module in (exactmath, wedgepuzzle):
-            monkeypatch.setattr(module, "integer_inverse", counted)
-        monkeypatch.setattr(shephard, "facet_table",
-                            lambda *args, real=shephard.facet_table:
-                            tables.append(args) or real(*args))
-        monkeypatch.setattr(shephard, "strict_feasible",
-                            lambda sys, real=shephard.strict_feasible:
-                            (sys.weak and weak_lps.append(sys)) or real(sys))
+            counted(module, "integer_inverse")
+        for name in ("facet_table", "strict_feasible", "_relint_of_simplices"):
+            counted(shephard, name)
+        counted(exactmath, "_optimal_tableau")
         for e in (-2, 1):
             mat = assemble_matrix(single_wedge_puzzle(pentagon(1), 1, e))
-            tables.clear()
-            weak_lps.clear()
-            inverses.clear()
+            for seen in calls.values():
+                seen.clear()
             verdict, c1, c2 = certify(mat)
-            assert (len(tables), len(weak_lps), len(inverses)) == (1, 1, 2)
+            assert {name: len(seen) for name, seen in calls.items()} == {
+                "facet_table": 1, "strict_feasible": 1, "_relint_of_simplices": 1,
+                "integer_inverse": 2, "_optimal_tableau": 2}
             assert verdict == "projective"
+            calls["_optimal_tableau"].clear()
             prep = prepare(mat)
+            assert not calls["_optimal_tableau"]
             assert (c1, c2) == (is_strongly_polytopal(prep)[1],
                                 support_function_polytopal(prep)[1])
 
@@ -384,11 +387,13 @@ class TestFacetTable:
     def test_non_unimodular_tableaux(self):
         # the nested triangles' facets have minors 1 to 64, so their walk
         # takes general pivots; any order of the facets gives each one the
-        # tableau of its own integer_inverse
+        # tableau of its own integer_inverse, and the positive relation read
+        # off tableaux with den > 1 still meets its contract
         rng = random.Random(5)
         for triangles in (TWISTED, PULLED):
             prep = nested_triangles_fan(triangles)
             assert {den for _, den in prep.table.tableaux} != {1}
+            check_positive_relation(prep)
             facets = list(prep.table.facets)
             for _ in range(5):
                 rng.shuffle(facets)
@@ -582,7 +587,7 @@ class TestHalfPlaneLemma:
 class TestInvariance:
     def test_verdict_invariant_under_relation_choice(self):
         fan = pentagon(2)
-        base = positive_relation(fan.rays)
+        base = prepare(fan).weights
         # uniform rescalings and the paper's different-but-valid relation
         for weights in (tuple(2 * b for b in base), tuple(7 * b for b in base),
                         (2, 1, 1, 5, 2)):
